@@ -1,7 +1,13 @@
 #!/bin/sh
 # End-to-end pipeline via the command line: generate data, validate it,
 # fit calibrations, evaluate on the test split, run the bundled studies.
+# Runs from a checkout without an install: the package is imported from the
+# repository's src directory, whose absolute path is resolved before the cd.
 set -e
+
+SRC="$(cd "$(dirname "$0")/../src" && pwd)"
+export PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}"
+lowfpr() { python3 -m lowfpr "$@"; }
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT

@@ -11,9 +11,9 @@ uncertainties (epistemic e, aleatoric a):
 Coefficients are fit by coordinate descent on the validation split: each
 coordinate is minimized over its bracket with Brent's method, where the inner
 objective rescores all samples, re-selects the global threshold at
-multiplier * target_fpr, and returns the negated TPR. The multiplier (default
-0.9) backs the fit off the budget so that test-time FPR overshoots stay rare;
-evaluation always uses the true target.
+multiplier * target_fpr (one partition of the negative scores), and returns
+the negated TPR. The multiplier (default 0.9) backs the fit off the budget so
+that test-time FPR overshoots stay rare; evaluation always uses the true target.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import PredictionDataset
-from .rocmetrics import OperatingPoint, combined_metric, evaluate_at_threshold, select_threshold
+from .data import DatasetError, PredictionDataset
+from .rocmetrics import OperatingPoint, _budget_count, _select, combined_metric, evaluate_at_threshold
+from .rocmetrics import select_threshold
 from .uncertainty import compute_uncertainties
 
 
@@ -216,16 +217,32 @@ class CalibrationResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationResult":
-        threshold = float(d["threshold"])
+        """Rebuild a saved calibration; a malformed one raises DatasetError naming the key."""
+        if not isinstance(d, dict):
+            raise DatasetError(f"calibration must be a JSON object, got {type(d).__name__}")
+
+        def field(key: str, convert: Callable = float):
+            if key not in d:
+                raise DatasetError(f"calibration is missing key {key!r}")
+            try:
+                value = convert(d[key])
+            except (TypeError, ValueError) as exc:
+                raise DatasetError(f"calibration key {key!r}: {exc}") from None
+            if isinstance(value, float) and math.isnan(value):
+                raise DatasetError(f"calibration key {key!r} is NaN")
+            return value
+
+        variant = field("variant", Variant)
+        threshold = field("threshold")
         return cls(
-            params=AdjustmentParams(Variant(d["variant"]), tuple(d["alpha"])),
+            params=field("alpha", lambda alpha: AdjustmentParams(variant, tuple(alpha))),
             global_threshold=threshold,
-            target_fpr=float(d["target_fpr"]),
-            fit_fpr_multiplier=float(d["multiplier"]),
-            achieved_val=OperatingPoint(threshold, float(d["validation_tpr"]), float(d["validation_fpr"])),
-            sweeps_used=int(d["sweeps_used"]),
-            seed=int(d["seed"]),
-            member_count=int(d["member_count"]),
+            target_fpr=field("target_fpr"),
+            fit_fpr_multiplier=field("multiplier"),
+            achieved_val=OperatingPoint(threshold, field("validation_tpr"), field("validation_fpr")),
+            sweeps_used=field("sweeps_used", int),
+            seed=field("seed", int),
+            member_count=field("member_count", int),
         )
 
 
@@ -237,7 +254,10 @@ def save_calibration(result: CalibrationResult, path: str | Path) -> None:
 
 def load_calibration(path: str | Path) -> CalibrationResult:
     with open(path, encoding="utf-8") as fh:
-        return CalibrationResult.from_dict(json.load(fh))
+        try:
+            return CalibrationResult.from_dict(json.load(fh))
+        except DatasetError as exc:
+            raise DatasetError(f"{path}: {exc}") from None
 
 
 class CalibrationEvaluation(NamedTuple):
@@ -300,13 +320,15 @@ def fit_local(
     if max_sweeps < 0:
         raise ValueError("max_sweeps must be nonnegative")
     table = compute_uncertainties(val)
-    y, e, a = table.yhat, table.epistemic, table.aleatoric
-    labels = val.labels
-    budget = multiplier * target_fpr
+    is_pos = val.labels == 1
+    # _apply is elementwise, so rescoring each class alone equals rescoring all.
+    classes = [(table.yhat[m], table.epistemic[m], table.aleatoric[m]) for m in (is_pos, ~is_pos)]
+    k = _budget_count(int(np.count_nonzero(~is_pos)), multiplier * target_fpr)
     brackets = COORDINATE_BRACKETS[variant]
 
     def operating_point(alpha_vec: np.ndarray) -> OperatingPoint:
-        return select_threshold(_apply(variant, y, e, a, alpha_vec), labels, budget)
+        pos, neg = (_apply(variant, y, e, a, alpha_vec) for y, e, a in classes)
+        return _select(pos, neg, k)
 
     alpha = np.zeros(len(brackets), dtype=np.float64)
     best_tpr = operating_point(alpha).tpr

@@ -250,9 +250,6 @@ def main(argv: list[str] | None = None) -> int:
     except click.exceptions.Abort:
         click.echo("aborted", err=True)
         sys.exit(1)
-    except click.UsageError as exc:
-        exc.show()
-        sys.exit(1)
     except click.ClickException as exc:
         exc.show()
         sys.exit(1)

@@ -4,7 +4,8 @@ The decision rule everywhere is ``score >= threshold  =>  predict positive``.
 ROC curves carry one operating point per distinct score value plus the two
 boundary sentinels (+inf scoring nothing positive, -inf scoring everything).
 Partial AUC is unnormalized: the raw integral of TPR over FPR in [0, fpr_max],
-so its value lies in [0, fpr_max].
+so its value lies in [0, fpr_max]. Threshold selection at an FPR budget finds
+the budget's cut among the negative scores with one O(n) partition, not a sort.
 """
 
 from __future__ import annotations
@@ -118,6 +119,30 @@ def partial_auc(curve: RocCurve, fpr_max: float) -> float:
     return float(np.trapezoid(tt, ff))
 
 
+def _budget_count(n_neg: int, target_fpr: float) -> int:
+    """Largest k <= n_neg with k / n_neg <= target_fpr, in the float arithmetic of the FPR."""
+    k = min(int(target_fpr * n_neg), n_neg)
+    while k < n_neg and (k + 1) / n_neg <= target_fpr:
+        k += 1
+    while k > 0 and k / n_neg > target_fpr:
+        k -= 1
+    return k
+
+
+def _select(pos: np.ndarray, neg: np.ndarray, k: int) -> OperatingPoint:
+    """select_threshold on class-split scores, allowing at most k false positives."""
+    if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
+        raise ValueError("scores must be finite")
+    n_neg = neg.size
+    # A threshold admits at most k negatives iff it lies above v, the (k+1)-th largest.
+    v = -np.inf if k == n_neg else np.partition(neg, n_neg - k - 1)[n_neg - k - 1]
+    above = pos[pos > v]
+    if above.size == 0:
+        return OperatingPoint(np.inf, 0.0, 0.0)
+    thr = float(above.min())
+    return OperatingPoint(thr, above.size / pos.size, int(np.count_nonzero(neg >= thr)) / n_neg)
+
+
 def select_threshold(scores, labels, target_fpr: float) -> OperatingPoint:
     """Pick the threshold maximizing TPR subject to FPR <= target_fpr.
 
@@ -128,19 +153,10 @@ def select_threshold(scores, labels, target_fpr: float) -> OperatingPoint:
     if not (0.0 < target_fpr < 1.0):
         raise ValueError(f"target_fpr must be in (0, 1), got {target_fpr!r}")
     s, y = _score_label_arrays(scores, labels)
-    n_pos = int(y.sum())
-    n_neg = int(y.size - n_pos)
-    if n_neg == 0:
+    neg = s[y == 0]
+    if neg.size == 0:
         raise ValueError("select_threshold needs at least one negative sample")
-    thr, tp, fp = _distinct_counts(s, y)
-    thresholds = np.concatenate(([np.inf], thr))
-    tprs = np.concatenate(([0.0], tp / n_pos if n_pos else np.zeros_like(tp, dtype=np.float64)))
-    fprs = np.concatenate(([0.0], fp / n_neg))
-    # FPR is nondecreasing along candidates, so the feasible set is a prefix.
-    j = int(np.searchsorted(fprs, target_fpr, side="right")) - 1
-    best = tprs[j]
-    i = int(np.searchsorted(tprs[: j + 1], best, side="left"))
-    return OperatingPoint(float(thresholds[i]), float(tprs[i]), float(fprs[i]))
+    return _select(s[y == 1], neg, _budget_count(neg.size, target_fpr))
 
 
 def evaluate_at_threshold(scores, labels, threshold: float) -> OperatingPoint:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -16,9 +17,10 @@ from lowfpr.adjust import (
     load_calibration,
     save_calibration,
 )
-from lowfpr.data import filter_split
+from lowfpr.data import DatasetError, filter_split
 from lowfpr.rocmetrics import OperatingPoint, select_threshold
 from lowfpr.synth import generate, heteroscedastic_scenario, noisy_fp_scenario
+from lowfpr.uncertainty import compute_uncertainties
 
 
 def golden_section(objective, bracket, tol=1e-8, max_iters=500):
@@ -221,6 +223,18 @@ class TestFitLocal:
         assert any(x != 0.0 for x in fitted.params.alpha)
         assert fitted.achieved_val.tpr > fit_global(val, 1e-2).achieved_val.tpr
 
+    def test_operating_point_matches_public_selection(self, hetero_val):
+        # the fit selects on class-split rescored arrays; the public function
+        # on the whole validation split must give the same operating point
+        val, _ = hetero_val
+        table = compute_uncertainties(val)
+        for variant in (Variant.LV1, Variant.LV2, Variant.LV3):
+            fitted = fit_local(val, 1e-2, variant, seed=4, multiplier=0.8)
+            rescored = apply_adjustment(table.yhat, table.epistemic, table.aleatoric, fitted.params)
+            op = select_threshold(rescored, val.labels, 0.8 * 1e-2)
+            assert fitted.achieved_val == op
+            assert fitted.global_threshold == op.threshold
+
     def test_seed_determinism(self, hetero_val):
         val, _ = hetero_val
         a = fit_local(val, 1e-2, Variant.LV3, seed=7)
@@ -332,3 +346,26 @@ class TestCalibrationSerialization:
         save_calibration(result, p1)
         save_calibration(fit_local(val, 1e-2, Variant.LV2, seed=9), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda d: [d], None),
+            (lambda d: {k: v for k, v in d.items() if k != "threshold"}, "'threshold'"),
+            (lambda d: dict(d, target_fpr="abc"), "'target_fpr'"),
+            (lambda d: dict(d, threshold="nan"), "'threshold'"),
+            (lambda d: dict(d, alpha=None), "'alpha'"),
+            (lambda d: dict(d, variant="lv9"), "'variant'"),
+            (lambda d: dict(d, seed=[1]), "'seed'"),
+        ],
+        ids=["not-an-object", "missing-key", "non-numeric", "nan-threshold", "alpha-not-list", "unknown-variant", "int-not-number"],
+    )
+    def test_malformed_file_names_file_and_key(self, tmp_path, hetero_val, edit, key):
+        val, _ = hetero_val
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps(edit(fit_local(val, 1e-2, Variant.LV1, seed=5, max_sweeps=0).to_dict())))
+        with pytest.raises(DatasetError) as info:
+            load_calibration(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ") and "\n" not in message
+        assert key is None or key in message

@@ -169,6 +169,41 @@ class TestEval:
                         "--calibration", str(path)]) == 3
 
 
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda d: list(d.items()), None),
+            (lambda d: {k: v for k, v in d.items() if k != "member_count"}, "'member_count'"),
+            (lambda d: dict(d, multiplier="high"), "'multiplier'"),
+            (lambda d: dict(d, threshold="nan"), "'threshold'"),
+        ],
+        ids=["not-an-object", "missing-key", "non-numeric", "nan-threshold"],
+    )
+    def test_malformed_calibration_exits_2(self, dataset_csv, tmp_path, capsys, edit, key):
+        outdir = tmp_path / "out"
+        run_cli(["fit", "--input", str(dataset_csv), "--output-dir", str(outdir),
+                 "--variant", "g", "--target-fpr", "0.01"])
+        path = outdir / "calibration_g_0.01.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        capsys.readouterr()
+        assert run_cli(["eval", "--input", str(dataset_csv), "--output-dir", str(outdir),
+                        "--calibration", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1
+        assert key is None or key in err
+        assert not (outdir / "evaluation.csv").exists()
+
+    def test_infinite_threshold_still_loads(self, dataset_csv, tmp_path):
+        outdir = tmp_path / "out"
+        run_cli(["fit", "--input", str(dataset_csv), "--output-dir", str(outdir),
+                 "--variant", "g", "--target-fpr", "0.01"])
+        path = outdir / "calibration_g_0.01.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), threshold="inf")))
+        assert run_cli(["eval", "--input", str(dataset_csv), "--output-dir", str(outdir),
+                        "--calibration", str(path)]) == 0
+        assert (outdir / "evaluation.csv").read_text().splitlines()[1] == "0.01,0.0,0.0,0.0"
+
+
 class TestStudy:
     def test_protocol_rows(self, dataset_csv, tmp_path):
         outdir = tmp_path / "out"

@@ -5,6 +5,7 @@ import pytest
 
 from lowfpr.rocmetrics import (
     OperatingPoint,
+    _select,
     accuracy,
     auc,
     combined_metric,
@@ -193,6 +194,40 @@ class TestSelectThreshold:
         # earns any TPR inside a tight budget
         op = select_threshold([0.9, 0.8, 0.1], [0, 0, 1], 0.25)
         assert op == OperatingPoint(math.inf, 0.0, 0.0)
+
+    def test_matches_brute_force_at_budget_boundaries(self):
+        # targets exactly at an attainable FPR k / n_neg and one ulp either
+        # side, where the budget's false-positive count changes
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            scores, labels = random_dataset(rng)
+            n_neg = int((labels == 0).sum())
+            for k in {0, 1, n_neg // 2, n_neg - 1, int(rng.integers(0, n_neg + 1))}:
+                exact = k / n_neg
+                for target in (exact, np.nextafter(exact, 0.0), np.nextafter(exact, 1.0)):
+                    if not 0.0 < target < 1.0:
+                        continue
+                    op = select_threshold(scores, labels, float(target))
+                    assert (op.threshold, op.tpr, op.fpr) == brute_force_select(scores, labels, target)
+
+    def test_sentinel_without_positives(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            scores, _ = random_dataset(rng)
+            labels = np.zeros(scores.size, dtype=np.int64)
+            target = float(rng.uniform(0.001, 0.999))
+            op = select_threshold(scores, labels, target)
+            assert op == OperatingPoint(math.inf, 0.0, 0.0)
+            assert (op.threshold, op.tpr, op.fpr) == brute_force_select(scores, labels, target)
+
+    def test_nonfinite_scores_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                select_threshold([0.2, bad, 0.7], [0, 1, 0], 0.5)
+            with pytest.raises(ValueError, match="finite"):
+                _select(np.array([0.2, bad]), np.array([0.1, 0.7]), 1)
+            with pytest.raises(ValueError, match="finite"):
+                _select(np.array([0.2]), np.array([bad, 0.7]), 1)
 
     def test_tpr_nonincreasing_in_target_strictness(self):
         rng = np.random.default_rng(8)
