@@ -3,7 +3,6 @@ false-positive-rate budgets, driven by ensemble uncertainty.
 """
 
 from .adjust import (
-    ALPHA_ARITY,
     COORDINATE_BRACKETS,
     AdjustmentParams,
     CalibrationEvaluation,
@@ -32,7 +31,6 @@ from .analysis import (
 from .data import (
     DatasetError,
     PredictionDataset,
-    SampleRecord,
     filter_split,
     load_dataset,
     save_dataset,
@@ -73,7 +71,6 @@ from .uncertainty import (
     UncertaintyTriple,
     binary_entropy,
     compute_uncertainties,
-    ensemble_mean,
     uncertainty_triple,
 )
 

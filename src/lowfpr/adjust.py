@@ -1,14 +1,16 @@
 """Uncertainty-aware score adjustments and threshold calibration.
 
-Three local adjustment families rescore a sample from its ensemble mean y and
-uncertainties (epistemic e, aleatoric a):
+Four variants rescore a sample from its ensemble mean y and uncertainties
+(epistemic e, aleatoric a):
 
+* global_only:  y                      (zero coordinates)
 * lv1:  y + a1*e + a2*a
 * lv2:  y + a1*exp(a3*e) + a2*exp(a4*a)
 * lv3:  y + [y >  a0](a1*e + a2*a)
           + [y <= a0](a3*e + a4*a)
 
-Coefficients are fit by coordinate descent on the validation split: each
+Every variant goes through the same fit: coordinate descent on the validation
+split, which for global_only runs no sweep and only selects the threshold. Each
 coordinate is minimized over its bracket with Brent's method, where the inner
 objective rescores all samples, re-selects the global threshold at
 multiplier * target_fpr (one partition of the negative scores), and returns
@@ -29,7 +31,7 @@ import numpy as np
 
 from .data import DatasetError, PredictionDataset
 from .rocmetrics import OperatingPoint, _budget_count, _select, combined_metric, evaluate_at_threshold
-from .rocmetrics import select_threshold
+from .rocmetrics import select_threshold  # noqa: F401  (kept as adjust.select_threshold: perfbench's tracer test wraps it)
 from .uncertainty import compute_uncertainties
 
 
@@ -40,16 +42,10 @@ class Variant(str, Enum):
     LV3 = "lv3"
 
 
-ALPHA_ARITY = {
-    Variant.GLOBAL_ONLY: 0,
-    Variant.LV1: 2,
-    Variant.LV2: 4,
-    Variant.LV3: 5,
-}
-
-# Search bracket per coordinate. lv3's first coordinate is the score split
-# point, the remaining four are the per-branch weights.
+# Search bracket per coordinate; its length is the variant's arity. lv3's first
+# coordinate is the score split point, the remaining four are the per-branch weights.
 COORDINATE_BRACKETS = {
+    Variant.GLOBAL_ONLY: (),
     Variant.LV1: ((-100.0, 100.0),) * 2,
     Variant.LV2: ((-10.0, 10.0),) * 4,
     Variant.LV3: ((-0.1, 0.1),) + ((0.0, 1.0),) * 4,
@@ -68,11 +64,10 @@ class AdjustmentParams:
         object.__setattr__(self, "variant", variant)
         alpha = tuple(float(x) for x in self.alpha)
         object.__setattr__(self, "alpha", alpha)
-        arity = ALPHA_ARITY[variant]
-        if len(alpha) != arity:
-            raise ValueError(f"variant {variant.value} takes {arity} coefficients, got {len(alpha)}")
-        for k, x in enumerate(alpha):
-            lo, hi = COORDINATE_BRACKETS[variant][k]
+        brackets = COORDINATE_BRACKETS[variant]
+        if len(alpha) != len(brackets):
+            raise ValueError(f"variant {variant.value} takes {len(brackets)} coefficients, got {len(alpha)}")
+        for k, (x, (lo, hi)) in enumerate(zip(alpha, brackets)):
             if not (lo <= x <= hi):
                 raise ValueError(f"alpha[{k}]={x!r} outside bracket [{lo}, {hi}] for variant {variant.value}")
 
@@ -253,11 +248,18 @@ def save_calibration(result: CalibrationResult, path: str | Path) -> None:
 
 
 def load_calibration(path: str | Path) -> CalibrationResult:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return CalibrationResult.from_dict(json.load(fh))
-        except DatasetError as exc:
-            raise DatasetError(f"{path}: {exc}") from None
+    """Read a calibration written by save_calibration; any fault in the file raises DatasetError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise DatasetError(f"{path}: {exc.strerror or exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"{path}: invalid JSON: {exc}") from None
+    try:
+        return CalibrationResult.from_dict(raw)
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 class CalibrationEvaluation(NamedTuple):
@@ -266,32 +268,11 @@ class CalibrationEvaluation(NamedTuple):
     combined: float
 
 
-def _check_fit_args(val: PredictionDataset, target_fpr: float, multiplier: float) -> None:
-    if not (0.0 < target_fpr < 1.0):
-        raise ValueError(f"target_fpr must be in (0, 1), got {target_fpr!r}")
-    if not (0.0 < multiplier and multiplier * target_fpr < 1.0):
-        raise ValueError(f"multiplier {multiplier!r} puts the fit budget outside (0, 1)")
-    labels = val.labels
-    if len(val) == 0 or int(labels.sum()) == 0 or int(labels.sum()) == len(val):
-        raise ValueError("fitting needs at least one positive and one negative validation sample")
-
-
 def fit_global(
     val: PredictionDataset, target_fpr: float, multiplier: float = 0.9, seed: int = 0
 ) -> CalibrationResult:
     """Select a global threshold on ensemble-mean scores, no rescoring."""
-    _check_fit_args(val, target_fpr, multiplier)
-    op = select_threshold(val.scores.mean(axis=1), val.labels, multiplier * target_fpr)
-    return CalibrationResult(
-        params=AdjustmentParams(Variant.GLOBAL_ONLY),
-        global_threshold=op.threshold,
-        target_fpr=target_fpr,
-        fit_fpr_multiplier=multiplier,
-        achieved_val=op,
-        sweeps_used=0,
-        seed=seed,
-        member_count=val.member_count,
-    )
+    return fit_local(val, target_fpr, Variant.GLOBAL_ONLY, seed=seed, multiplier=multiplier)
 
 
 def fit_local(
@@ -303,9 +284,10 @@ def fit_local(
     sweep_tol: float = 1e-6,
     max_sweeps: int = 50,
 ) -> CalibrationResult:
-    """Fit one adjustment family by coordinate descent with Brent line searches.
+    """Fit one variant by coordinate descent with Brent line searches.
 
-    Coefficients start at zero (the identity rescoring). lv1 visits its two
+    Coefficients start at zero (the identity rescoring); global_only has none,
+    so its fit runs no sweep and only selects the threshold. lv1 visits its two
     coordinates in strict alternation; lv2 and lv3 visit theirs in a fresh
     seeded random order each sweep. A coordinate move that degrades validation
     TPR is discarded, so the incumbent never regresses; equal-TPR moves are
@@ -314,9 +296,13 @@ def fit_local(
     less than sweep_tol.
     """
     variant = Variant(variant)
-    if variant is Variant.GLOBAL_ONLY:
-        raise ValueError("variant global_only has no local coefficients; use fit_global")
-    _check_fit_args(val, target_fpr, multiplier)
+    if not (0.0 < target_fpr < 1.0):
+        raise ValueError(f"target_fpr must be in (0, 1), got {target_fpr!r}")
+    if not (0.0 < multiplier and multiplier * target_fpr < 1.0):
+        raise ValueError(f"multiplier {multiplier!r} puts the fit budget outside (0, 1)")
+    n_pos = int(val.labels.sum())
+    if len(val) == 0 or n_pos == 0 or n_pos == len(val):
+        raise ValueError("fitting needs at least one positive and one negative validation sample")
     if max_sweeps < 0:
         raise ValueError("max_sweeps must be nonnegative")
     table = compute_uncertainties(val)
@@ -334,7 +320,8 @@ def fit_local(
     best_tpr = operating_point(alpha).tpr
     rng = np.random.Generator(np.random.Philox(key=seed))
     sweeps_used = 0
-    for _ in range(max_sweeps):
+    # A variant without coordinates (global_only) has nothing to sweep.
+    for _ in range(max_sweeps if brackets else 0):
         tpr_at_sweep_start = best_tpr
         if variant is Variant.LV1:
             order = np.arange(len(brackets))
@@ -380,10 +367,7 @@ def evaluate_calibration(
     if len(test) == 0 or n_pos == 0 or n_pos == len(test):
         raise ValueError("evaluation needs at least one positive and one negative test sample")
     target = result.target_fpr if target_fpr is None else target_fpr
-    if result.params.variant is Variant.GLOBAL_ONLY:
-        adjusted = test.scores.mean(axis=1)
-    else:
-        table = compute_uncertainties(test)
-        adjusted = _apply(result.params.variant, table.yhat, table.epistemic, table.aleatoric, result.params.alpha)
+    table = compute_uncertainties(test)
+    adjusted = _apply(result.params.variant, table.yhat, table.epistemic, table.aleatoric, result.params.alpha)
     op = evaluate_at_threshold(adjusted, labels, result.global_threshold)
     return CalibrationEvaluation(op.tpr, op.fpr, combined_metric(op.tpr, op.fpr, target))

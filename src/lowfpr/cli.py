@@ -98,12 +98,9 @@ def cmd_fit(
     ds = load_dataset(input_path, fmt)
     val = _split_or_die(ds, "validation")
     v = VARIANT_LABELS[variant]
-    if v is adjust.Variant.GLOBAL_ONLY:
-        result = adjust.fit_global(val, target_fpr, multiplier=multiplier, seed=seed)
-    else:
-        result = adjust.fit_local(
-            val, target_fpr, v, seed=seed, multiplier=multiplier, sweep_tol=sweep_tol, max_sweeps=max_sweeps
-        )
+    result = adjust.fit_local(
+        val, target_fpr, v, seed=seed, multiplier=multiplier, sweep_tol=sweep_tol, max_sweeps=max_sweeps
+    )
     out = _outdir(output_dir) / f"calibration_{variant}_{target_fpr:g}.json"
     adjust.save_calibration(result, out)
     op = result.achieved_val

@@ -32,17 +32,6 @@ class DatasetError(ValueError):
 
 
 @dataclass(frozen=True)
-class SampleRecord:
-    """One sample: identity, ground truth, split tag and per-member scores."""
-
-    sample_id: str
-    label: int
-    split: str
-    family: str | None
-    member_scores: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class PredictionDataset:
     """Columnar store of ensemble member scores plus per-sample metadata.
 
@@ -114,42 +103,6 @@ class PredictionDataset:
     @property
     def member_count(self) -> int:
         return int(self.scores.shape[1])
-
-    def record(self, i: int) -> SampleRecord:
-        return SampleRecord(
-            sample_id=self.sample_ids[i],
-            label=int(self.labels[i]),
-            split=self.splits[i],
-            family=self.families[i],
-            member_scores=tuple(float(s) for s in self.scores[i]),
-        )
-
-    @property
-    def records(self) -> list[SampleRecord]:
-        """Materialize all rows as SampleRecord objects (row-oriented view)."""
-        return [self.record(i) for i in range(len(self))]
-
-    @classmethod
-    def from_records(
-        cls, records: list[SampleRecord], member_count: int | None = None, provenance: str = ""
-    ) -> "PredictionDataset":
-        if not records and member_count is None:
-            raise DatasetError("cannot infer member count from an empty record list")
-        t = member_count if member_count is not None else len(records[0].member_scores)
-        for r in records:
-            if len(r.member_scores) != t:
-                raise DatasetError(
-                    f"inconsistent member count for sample '{r.sample_id}': "
-                    f"expected {t}, got {len(r.member_scores)}"
-                )
-        return cls(
-            sample_ids=np.array([r.sample_id for r in records], dtype=object),
-            labels=np.array([r.label for r in records], dtype=np.int64),
-            splits=np.array([r.split for r in records], dtype=object),
-            families=np.array([r.family for r in records], dtype=object),
-            scores=np.array([r.member_scores for r in records], dtype=np.float64).reshape(len(records), t),
-            provenance=provenance,
-        )
 
 
 def _check_format(fmt: str) -> str:

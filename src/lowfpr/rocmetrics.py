@@ -39,13 +39,6 @@ class RocCurve:
     def __len__(self) -> int:
         return int(self.thresholds.shape[0])
 
-    def point(self, i: int) -> OperatingPoint:
-        return OperatingPoint(float(self.thresholds[i]), float(self.tprs[i]), float(self.fprs[i]))
-
-    @property
-    def points(self) -> list[OperatingPoint]:
-        return [self.point(i) for i in range(len(self))]
-
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

@@ -51,14 +51,6 @@ def binary_entropy(p):
     return out
 
 
-def ensemble_mean(member_scores) -> float:
-    """Mean of the member probabilities; the ensemble score for one sample."""
-    arr = np.asarray(member_scores, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("member_scores is empty")
-    return float(arr.mean())
-
-
 @dataclass(frozen=True)
 class UncertaintyTriple:
     predictive_entropy: float

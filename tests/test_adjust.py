@@ -198,7 +198,7 @@ class TestFitLocal:
     def test_zero_sweeps_matches_global(self, hetero_val):
         val, _ = hetero_val
         g = fit_global(val, 1e-2)
-        for variant in (Variant.LV1, Variant.LV2, Variant.LV3):
+        for variant in Variant:
             local = fit_local(val, 1e-2, variant, max_sweeps=0)
             assert local.params.alpha == (0.0,) * len(local.params.alpha)
             assert local.global_threshold == g.global_threshold
@@ -228,7 +228,7 @@ class TestFitLocal:
         # on the whole validation split must give the same operating point
         val, _ = hetero_val
         table = compute_uncertainties(val)
-        for variant in (Variant.LV1, Variant.LV2, Variant.LV3):
+        for variant in Variant:
             fitted = fit_local(val, 1e-2, variant, seed=4, multiplier=0.8)
             rescored = apply_adjustment(table.yhat, table.epistemic, table.aleatoric, fitted.params)
             op = select_threshold(rescored, val.labels, 0.8 * 1e-2)
@@ -256,10 +256,14 @@ class TestFitLocal:
                 wins += 1
         assert wins >= 2
 
-    def test_rejects_global_variant(self, hetero_val):
+    def test_global_variant_is_fit_global(self, hetero_val):
+        # global_only has no coordinates: the fit runs no sweep, only selects
         val, _ = hetero_val
-        with pytest.raises(ValueError, match="fit_global"):
-            fit_local(val, 1e-2, Variant.GLOBAL_ONLY)
+        for target in (1e-2, 1e-3):
+            fitted = fit_local(val, target, Variant.GLOBAL_ONLY)
+            assert fitted == fit_global(val, target)
+            assert fitted.params.alpha == ()
+            assert fitted.sweeps_used == 0
 
     def test_rejects_single_class_validation(self, hetero_val):
         val, _ = hetero_val

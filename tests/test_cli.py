@@ -193,6 +193,18 @@ class TestEval:
         assert key is None or key in err
         assert not (outdir / "evaluation.csv").exists()
 
+    @pytest.mark.parametrize("content", [None, b'{"variant": ', b"\xff\xfe"], ids=["missing", "not-json", "not-text"])
+    def test_unreadable_calibration_exits_2(self, dataset_csv, tmp_path, capsys, content):
+        outdir = tmp_path / "out"
+        path = tmp_path / "calibration.json"
+        if content is not None:
+            path.write_bytes(content)
+        assert run_cli(["eval", "--input", str(dataset_csv), "--output-dir", str(outdir),
+                        "--calibration", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1
+        assert not (outdir / "evaluation.csv").exists()
+
     def test_infinite_threshold_still_loads(self, dataset_csv, tmp_path):
         outdir = tmp_path / "out"
         run_cli(["fit", "--input", str(dataset_csv), "--output-dir", str(outdir),

@@ -4,7 +4,6 @@ import pytest
 from lowfpr.data import (
     DatasetError,
     PredictionDataset,
-    SampleRecord,
     filter_split,
     load_dataset,
     save_dataset,
@@ -198,30 +197,6 @@ class TestSubsample:
             i = lookup[sid]
             assert out.labels[j] == ds.labels[i]
             np.testing.assert_array_equal(out.scores[j], ds.scores[i])
-
-
-class TestRecords:
-    def test_record_view(self):
-        ds = make_dataset(n=5, t=2, seed=1)
-        recs = ds.records
-        assert len(recs) == 5
-        assert isinstance(recs[0], SampleRecord)
-        assert recs[3].sample_id == "s3"
-        assert recs[3].member_scores == tuple(ds.scores[3])
-
-    def test_from_records_round_trip(self):
-        ds = make_dataset(n=6, t=4, seed=9)
-        back = PredictionDataset.from_records(ds.records)
-        np.testing.assert_array_equal(back.scores, ds.scores)
-        assert list(back.families) == list(ds.families)
-
-    def test_from_records_inconsistent_members(self):
-        recs = [
-            SampleRecord("a", 0, "train", None, (0.1, 0.2)),
-            SampleRecord("b", 0, "train", None, (0.1,)),
-        ]
-        with pytest.raises(DatasetError, match="'b'"):
-            PredictionDataset.from_records(recs)
 
 
 class TestImmutability:

@@ -7,7 +7,6 @@ from lowfpr.data import PredictionDataset
 from lowfpr.uncertainty import (
     binary_entropy,
     compute_uncertainties,
-    ensemble_mean,
     uncertainty_triple,
 )
 
@@ -60,15 +59,6 @@ class TestBinaryEntropy:
         pl = p.astype(np.longdouble)
         expect = -(pl * np.log(pl) + (1 - pl) * np.log1p(-pl))
         np.testing.assert_allclose(binary_entropy(p), expect.astype(np.float64), atol=1e-12)
-
-
-class TestEnsembleMean:
-    def test_mean(self):
-        assert ensemble_mean([0.2, 0.4, 0.9]) == pytest.approx(0.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ensemble_mean([])
 
 
 class TestUncertaintyTriple:
