@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import DatasetError, PredictionDataset
+from .data import DatasetError, PredictionDataset, _read_json
 from .rocmetrics import OperatingPoint, _budget_count, _select, combined_metric, evaluate_at_threshold
 from .rocmetrics import select_threshold  # noqa: F401  (kept as adjust.select_threshold: perfbench's tracer test wraps it)
 from .uncertainty import compute_uncertainties
@@ -249,13 +249,7 @@ def save_calibration(result: CalibrationResult, path: str | Path) -> None:
 
 def load_calibration(path: str | Path) -> CalibrationResult:
     """Read a calibration written by save_calibration; any fault in the file raises DatasetError naming it."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise DatasetError(f"{path}: {exc.strerror or exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DatasetError(f"{path}: invalid JSON: {exc}") from None
+    raw = _read_json(path)
     try:
         return CalibrationResult.from_dict(raw)
     except DatasetError as exc:

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import adjust, analysis, protocol, synth
 from .data import DatasetError, filter_split, load_dataset, save_dataset
@@ -208,7 +209,7 @@ def cmd_study(
             click.echo("warning: one correctness group is empty", err=True)
     else:  # novelty
         test = _split_or_die(ds, "test")
-        known = {f for f, s in zip(ds.families, ds.splits) if f is not None and s in ("train", "validation")}
+        known = set(ds.families[ds.splits != "test"].tolist()) - {None}
         split_result = analysis.uncertainty_by_novelty(test, known, measure)
         split_result.write_csv(out)
         if split_result.has_empty_group:
@@ -232,11 +233,13 @@ def cmd_synth(fmt: str, config_path: str | None, output_path: str, seed: int | N
     ds = synth.generate(config)
     save_dataset(ds, output_path, fmt)
     click.echo(f"wrote {output_path}: {len(ds)} records, {ds.member_count} members")
+    tags = set(ds.families.tolist()) - {None}
+    novel_family = np.isin(ds.families, [f for f in tags if f.startswith("fam_n")])
     for split in ("train", "validation", "test"):
         mask = ds.splits == split
         n = int(mask.sum())
         pos = int(ds.labels[mask].sum())
-        novel = sum(1 for f, m in zip(ds.families, mask) if m and f is not None and f.startswith("fam_n"))
+        novel = int((mask & novel_family).sum())
         click.echo(f"  {split}: {n} records ({pos} malicious, {n - pos} benign, {novel} novel-family)")
 
 

@@ -8,8 +8,22 @@ are supported:
 * JSON Lines with keys ``id``, ``label``, ``split``, ``family`` (nullable) and
   ``scores`` (array of T floats).
 
-Datasets are immutable after construction; all column arrays are marked
-read-only so downstream code can share them without copying.
+Each input is parsed and validated once, column by column. A CSV goes through
+one ``np.loadtxt`` call; JSON Lines are decoded a chunk of lines at a time and
+reduced to columns. The columns are then checked whole: labels, splits,
+member counts, score ranges, family tags on benign rows and unique ids.
+
+When a check fails, or a CSV holds anything that ``np.loadtxt`` might read
+differently from ``csv.reader`` and ``float()`` (a quote, a carriage return
+outside ``\r\n``, one of the separators ``\x1c``-``\x1f``, an overlong
+line), the file is read again row by row. That row path is the only place a
+load raises DatasetError, so every message names its line and field.
+
+Datasets are immutable; all column arrays are read-only so downstream code can
+share them without copying. ``PredictionDataset(...)`` validates and copies
+its columns. The loaders, ``filter_split`` and ``subsample`` build their
+results from columns that are already valid through the private
+``PredictionDataset._trusted``, which skips that validation.
 """
 
 from __future__ import annotations
@@ -24,7 +38,17 @@ import numpy as np
 SPLIT_NAMES = ("train", "validation", "test")
 
 _FIXED_COLUMNS = ("sample_id", "label", "split", "family")
+_COLUMNS = ("sample_ids", "labels", "splits", "families", "scores")
 _FORMATS = ("csv", "jsonl")
+
+# np.loadtxt may read these differently from csv.reader and float(): quoting,
+# a carriage return outside "\r\n", and the separators \x1c-\x1f, which numpy
+# strips from a number as whitespace where float() rejects it.
+_CSV_UNSAFE = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+# Bytes of JSON lines decoded before their objects are reduced to columns.
+_JSONL_CHUNK = 1 << 20
+# Rows turned into Python objects at a time by save_dataset.
+_WRITE_BLOCK = 4096
 
 
 class DatasetError(ValueError):
@@ -87,15 +111,33 @@ class PredictionDataset:
                 if s in seen:
                     raise DatasetError(f"duplicate sample_id '{s}'")
                 seen.add(s)
-        for name, col in (
-            ("sample_ids", ids),
-            ("labels", labels),
-            ("splits", splits),
-            ("families", families),
-            ("scores", scores),
-        ):
+        self._set_columns(ids, labels, splits, families, scores)
+
+    def _set_columns(self, *columns: np.ndarray) -> None:
+        for name, col in zip(_COLUMNS, columns, strict=True):
             col.setflags(write=False)
             object.__setattr__(self, name, col)
+
+    @classmethod
+    def _trusted(
+        cls,
+        sample_ids: np.ndarray,
+        labels: np.ndarray,
+        splits: np.ndarray,
+        families: np.ndarray,
+        scores: np.ndarray,
+        provenance: str,
+    ) -> PredictionDataset:
+        """Wrap columns that already pass every check of ``__post_init__``.
+
+        They must have the types it produces: object arrays of ``str`` (and
+        ``None`` families), int64 labels, 2-D float64 scores, and must be
+        owned by no one else, because they are made read-only, not copied.
+        """
+        ds = object.__new__(cls)
+        ds._set_columns(sample_ids, labels, splits, families, scores)
+        object.__setattr__(ds, "provenance", provenance)
+        return ds
 
     def __len__(self) -> int:
         return int(self.scores.shape[0])
@@ -103,6 +145,17 @@ class PredictionDataset:
     @property
     def member_count(self) -> int:
         return int(self.scores.shape[1])
+
+
+def _read_json(path: str | Path):
+    """Parse a JSON file; a missing or unreadable file, or text that is not JSON, raises DatasetError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DatasetError(f"{path}: {exc.strerror or exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _check_format(fmt: str) -> str:
@@ -133,7 +186,89 @@ def _parse_score(raw: object, field: str, where: str) -> float:
     return value
 
 
-def _load_csv(path: Path) -> PredictionDataset:
+def _checked(ids, labels, splits, families, scores: np.ndarray, provenance: str) -> PredictionDataset | None:
+    """Parsed columns as a dataset when they pass every check of the row path, else None.
+
+    ``labels`` holds the label fields as text; ``families`` holds ``None`` for
+    an untagged row.
+    """
+    ids = np.array(ids, dtype=object)
+    labels = np.asarray(labels, dtype=object)
+    splits = np.array(splits, dtype=object)
+    families = np.array(families, dtype=object)
+    scores = np.ascontiguousarray(scores, dtype=np.float64)
+    malicious = labels == "1"
+    with np.errstate(invalid="ignore"):
+        in_range = (scores >= 0.0) & (scores <= 1.0)
+    if not (
+        (malicious | (labels == "0")).all()
+        and np.isin(splits, SPLIT_NAMES).all()
+        and not ((families != None) & ~malicious).any()  # noqa: E711  (elementwise)
+        and in_range.all()
+        and len(set(ids)) == len(ids)
+    ):
+        return None
+    return PredictionDataset._trusted(ids, malicious.astype(np.int64), splits, families, scores, provenance)
+
+
+def _csv_columns(path: Path) -> PredictionDataset | None:
+    """Parse a CSV in bulk; None when the row path has to read it."""
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    text = text.replace("\r\n", "\n")
+    if any(c in text for c in _CSV_UNSAFE):
+        return None
+    lines = text.split("\n")
+    del text
+    header = lines[0].split(",")
+    t = len(header) - len(_FIXED_COLUMNS)
+    if t < 1 or header != [*_FIXED_COLUMNS, *(f"m{k}" for k in range(t))]:
+        return None
+    body = lines[1:]
+    # A line no longer than csv's field limit holds no field over it.
+    if not any(body) or max(map(len, body)) > csv.field_size_limit():
+        return None
+    dtype = np.dtype([(name, object) for name in _FIXED_COLUMNS] + [("scores", np.float64, (t,))])
+    try:
+        # Skips empty lines, as csv.reader does, and raises on a wrong field count.
+        rows = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    del body
+    families = np.where(rows["family"] == "", None, rows["family"])
+    return _checked(rows["sample_id"], rows["label"], rows["split"], families, rows["scores"], str(path))
+
+
+def _jsonl_columns(path: Path) -> PredictionDataset | None:
+    """Decode JSON Lines into columns, a chunk at a time; None when the row path has to read them."""
+    ids: list[str] = []
+    labels: list[str] = []
+    splits: list[str] = []
+    families: list[str | None] = []
+    blocks: list[np.ndarray] = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            while lines := fh.readlines(_JSONL_CHUNK):
+                objs = [json.loads(line) for line in lines if not line.isspace()]
+                if not objs:
+                    continue
+                ids += [str(o["id"]) for o in objs]
+                labels += [str(o["label"]) for o in objs]
+                splits += [str(o["split"]) for o in objs]
+                families += [None if o["family"] is None else str(o["family"]) for o in objs]
+                # A number array only if every "scores" is a list of T numbers.
+                blocks.append(np.array([o["scores"] for o in objs]))
+    except (ValueError, TypeError, KeyError, RecursionError):
+        return None
+    t = blocks[0].shape[-1] if blocks else 0
+    if t < 1 or any(b.ndim != 2 or b.shape[1] != t or b.dtype.kind not in "biuf" for b in blocks):
+        return None
+    return _checked(ids, labels, splits, families, np.concatenate(blocks), str(path))
+
+
+def _csv_rows(path: Path) -> PredictionDataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -187,7 +322,7 @@ def _load_csv(path: Path) -> PredictionDataset:
     )
 
 
-def _load_jsonl(path: Path) -> PredictionDataset:
+def _jsonl_rows(path: Path) -> PredictionDataset:
     ids: list[str] = []
     labels: list[int] = []
     splits: list[str] = []
@@ -253,9 +388,9 @@ def load_dataset(path: str | Path, format: str = "csv") -> PredictionDataset:
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"no such file: {path}")
-    if _check_format(format) == "csv":
-        return _load_csv(path)
-    return _load_jsonl(path)
+    bulk, rows = (_csv_columns, _csv_rows) if _check_format(format) == "csv" else (_jsonl_columns, _jsonl_rows)
+    ds = bulk(path)
+    return rows(path) if ds is None else ds
 
 
 def save_dataset(ds: PredictionDataset, path: str | Path, format: str = "csv") -> None:
@@ -264,47 +399,41 @@ def save_dataset(ds: PredictionDataset, path: str | Path, format: str = "csv") -
     if _check_format(format) == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(list(_FIXED_COLUMNS) + [f"m{k}" for k in range(ds.member_count)])
-            for i in range(len(ds)):
-                writer.writerow(
-                    [
-                        ds.sample_ids[i],
-                        int(ds.labels[i]),
-                        ds.splits[i],
-                        ds.families[i] if ds.families[i] is not None else "",
-                    ]
-                    + [repr(float(s)) for s in ds.scores[i]]
-                )
+            writer.writerow([*_FIXED_COLUMNS, *(f"m{k}" for k in range(ds.member_count))])
+            for ids, labels, splits, families, scores in _row_blocks(ds):
+                # csv writes a float as its repr and None as an empty field.
+                writer.writerows(zip(ids, labels, splits, families, *scores.T.tolist()))
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            for i in range(len(ds)):
-                fh.write(
-                    json.dumps(
-                        {
-                            "id": ds.sample_ids[i],
-                            "label": int(ds.labels[i]),
-                            "split": ds.splits[i],
-                            "family": ds.families[i],
-                            "scores": [float(s) for s in ds.scores[i]],
-                        }
-                    )
+            for block in _row_blocks(ds):
+                fh.writelines(
+                    json.dumps({"id": i, "label": label, "split": split, "family": family, "scores": scores.tolist()})
                     + "\n"
+                    for i, label, split, family, scores in zip(*block)
                 )
+
+
+def _row_blocks(ds: PredictionDataset):
+    """The columns of consecutive blocks of rows, all but the scores as lists of Python objects.
+
+    Writing a block at a time keeps a writer from holding every row as Python objects.
+    """
+    for lo in range(0, len(ds), _WRITE_BLOCK):
+        rows = slice(lo, lo + _WRITE_BLOCK)
+        yield (
+            ds.sample_ids[rows].tolist(),
+            ds.labels[rows].tolist(),
+            ds.splits[rows].tolist(),
+            ds.families[rows].tolist(),
+            ds.scores[rows],
+        )
 
 
 def filter_split(ds: PredictionDataset, split: str) -> PredictionDataset:
     """Select the rows of one split. The result may be empty."""
     if split not in SPLIT_NAMES:
         raise ValueError(f"unknown split {split!r}, expected one of {SPLIT_NAMES}")
-    mask = ds.splits == split
-    return PredictionDataset(
-        sample_ids=ds.sample_ids[mask],
-        labels=ds.labels[mask],
-        splits=ds.splits[mask],
-        families=ds.families[mask],
-        scores=ds.scores[mask],
-        provenance=ds.provenance,
-    )
+    return _take(ds, ds.splits == split)
 
 
 def subsample(ds: PredictionDataset, fraction: float, seed: int) -> PredictionDataset:
@@ -322,12 +451,11 @@ def subsample(ds: PredictionDataset, fraction: float, seed: int) -> PredictionDa
         return ds
     k = min(n, max(1, round(fraction * n)))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    idx = rng.permutation(n)[:k]
-    return PredictionDataset(
-        sample_ids=ds.sample_ids[idx],
-        labels=ds.labels[idx],
-        splits=ds.splits[idx],
-        families=ds.families[idx],
-        scores=ds.scores[idx],
-        provenance=ds.provenance,
+    return _take(ds, rng.permutation(n)[:k])
+
+
+def _take(ds: PredictionDataset, rows: np.ndarray) -> PredictionDataset:
+    """The rows of a dataset picked by a mask or by distinct positions; they are valid already."""
+    return PredictionDataset._trusted(
+        ds.sample_ids[rows], ds.labels[rows], ds.splits[rows], ds.families[rows], ds.scores[rows], ds.provenance
     )

@@ -18,13 +18,12 @@ member noise, split assignment, family assignment.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import PredictionDataset
+from .data import DatasetError, PredictionDataset, _read_json
 
 # Stream constants separating the product data stream from the test-only
 # oracle stream. Arbitrary but frozen; changing them changes every dataset.
@@ -94,13 +93,14 @@ class SynthConfig:
 
 
 def load_config(path: str | Path) -> SynthConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    """Read a config written by SynthConfig.to_dict.
+
+    A file that is missing, unreadable, not JSON text or not a JSON object
+    raises DatasetError naming it; bad values raise ValueError.
+    """
+    raw = _read_json(path)
     if not isinstance(raw, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
+        raise DatasetError(f"{path}: config must be a JSON object")
     return SynthConfig.from_dict(raw)
 
 

@@ -34,17 +34,21 @@ def _entropy_unchecked(p: np.ndarray) -> np.ndarray:
     return np.where(interior, h, 0.0)
 
 
+def _check_unit_interval(arr: np.ndarray, what: str) -> None:
+    with np.errstate(invalid="ignore"):
+        bad = ~((arr >= 0.0) & (arr <= 1.0))
+    if np.any(bad):
+        offender = arr[bad].ravel()[0] if arr.ndim else arr
+        raise ValueError(f"{what} {offender!r} outside [0, 1]")
+
+
 def binary_entropy(p):
     """Entropy of Bernoulli(p) in nats, with ``0 log 0`` taken as 0.
 
     Accepts a scalar or an array; raises ValueError outside [0, 1].
     """
     arr = np.asarray(p, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        bad = ~((arr >= 0.0) & (arr <= 1.0))
-    if np.any(bad):
-        offender = arr[bad].ravel()[0] if arr.ndim else arr
-        raise ValueError(f"probability {offender!r} outside [0, 1]")
+    _check_unit_interval(arr, "probability")
     out = _entropy_unchecked(arr)
     if arr.ndim == 0:
         return float(out)
@@ -58,8 +62,13 @@ class UncertaintyTriple:
     epistemic: float
 
 
-def _decompose(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared core over a (n, T) score matrix. Returns yhat and the triple."""
+def _decompose(scores: np.ndarray, sample_ids=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Shared core over a (n, T) score matrix. Returns yhat and the triple.
+
+    Negative epistemic values within the cancellation floor are clamped to
+    zero (with aleatoric set to predictive); one below it raises, naming the
+    sample when ``sample_ids`` is given.
+    """
     yhat = scores.mean(axis=1)
     predictive = _entropy_unchecked(yhat)
     aleatoric = _entropy_unchecked(scores).mean(axis=1)
@@ -68,6 +77,19 @@ def _decompose(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     constant = scores.min(axis=1) == scores.max(axis=1)
     aleatoric[constant] = predictive[constant]
     epistemic = predictive - aleatoric
+    bad = epistemic < _EPISTEMIC_FLOOR
+    if bad.any():
+        i = int(np.argmax(bad))
+        sample = "" if sample_ids is None else f" for sample '{sample_ids[i]}'"
+        raise RuntimeError(
+            f"epistemic uncertainty {float(epistemic[i])!r} below the cancellation floor{sample}; "
+            "decomposition is inconsistent"
+        )
+    # cancellation noise: restore aleatoric <= predictive, which holds
+    # mathematically by Jensen's inequality
+    clipped = epistemic < 0.0
+    aleatoric[clipped] = predictive[clipped]
+    np.maximum(epistemic, 0.0, out=epistemic)
     return yhat, predictive, aleatoric, epistemic
 
 
@@ -76,19 +98,9 @@ def uncertainty_triple(member_scores) -> UncertaintyTriple:
     arr = np.asarray(member_scores, dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValueError("member_scores is empty")
-    with np.errstate(invalid="ignore"):
-        bad = ~((arr >= 0.0) & (arr <= 1.0))
-    if bad.any():
-        raise ValueError(f"member score {arr[bad][0]!r} outside [0, 1]")
+    _check_unit_interval(arr, "member score")
     _, predictive, aleatoric, epistemic = _decompose(arr.reshape(1, -1))
-    epi = float(epistemic[0])
-    if epi < _EPISTEMIC_FLOOR:
-        raise RuntimeError(f"epistemic uncertainty {epi!r} below the cancellation floor; decomposition is inconsistent")
-    if epi < 0.0:
-        # cancellation noise: restore aleatoric <= predictive, which holds
-        # mathematically by Jensen's inequality
-        return UncertaintyTriple(float(predictive[0]), float(predictive[0]), 0.0)
-    return UncertaintyTriple(float(predictive[0]), float(aleatoric[0]), epi)
+    return UncertaintyTriple(float(predictive[0]), float(aleatoric[0]), float(epistemic[0]))
 
 
 @dataclass(frozen=True)
@@ -135,17 +147,7 @@ def compute_uncertainties(ds: PredictionDataset) -> UncertaintyTable:
     """Decompose every sample of a dataset. The dataset must be nonempty."""
     if len(ds) == 0:
         raise ValueError("dataset is empty")
-    yhat, predictive, aleatoric, epistemic = _decompose(ds.scores)
-    bad = epistemic < _EPISTEMIC_FLOOR
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise RuntimeError(
-            f"epistemic uncertainty {epistemic[i]!r} below the cancellation floor "
-            f"for sample '{ds.sample_ids[i]}'; decomposition is inconsistent"
-        )
-    clipped = epistemic < 0.0
-    aleatoric[clipped] = predictive[clipped]
-    np.maximum(epistemic, 0.0, out=epistemic)
+    yhat, predictive, aleatoric, epistemic = _decompose(ds.scores, ds.sample_ids)
     for col in (yhat, predictive, aleatoric, epistemic):
         col.setflags(write=False)
     return UncertaintyTable(

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from lowfpr.analysis import uncertainty_by_novelty
 from lowfpr.cli import main
+from lowfpr.data import filter_split, load_dataset
 from lowfpr.synth import SynthConfig
 
 
@@ -92,6 +94,19 @@ class TestSynth:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"logit_sd": -1.0}))
         assert run_cli(["synth", "--config", str(config_path), "--output", str(tmp_path / "x.csv")]) == 3
+
+    @pytest.mark.parametrize(
+        "content", [None, b'{"seed": ', b"\xff\xfe", b"[1, 2]"], ids=["missing", "not-json", "not-text", "not-object"]
+    )
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
+        config_path = tmp_path / "config.json"
+        if content is not None:
+            config_path.write_bytes(content)
+        out = tmp_path / "x.csv"
+        assert run_cli(["synth", "--config", str(config_path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {config_path}: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestFit:
@@ -285,6 +300,25 @@ class TestStudy:
         lines = (outdir / "novelty.csv").read_text().strip().splitlines()
         groups = {line.split(",")[1] for line in lines[1:]}
         assert groups == {"seen", "unseen"}
+
+    def test_novel_counts_and_known_families_match_row_loops(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(small_config(
+            n_benign=800, n_malicious=800, novel_fraction=0.3, split_fractions=[0.3, 0.3, 0.4])))
+        data = tmp_path / "nov.csv"
+        assert run_cli(["synth", "--config", str(config_path), "--output", str(data)]) == 0
+        summary = capsys.readouterr().out.splitlines()
+        ds = load_dataset(data)
+        for split, line in zip(("train", "validation", "test"), summary[1:]):
+            novel = sum(1 for f, s in zip(ds.families, ds.splits) if s == split and f is not None and f.startswith("fam_n"))
+            assert line.startswith(f"  {split}: ") and line.endswith(f", {novel} novel-family)")
+        assert novel > 0
+        known = {f for f, s in zip(ds.families, ds.splits) if f is not None and s in ("train", "validation")}
+        expected = tmp_path / "expected.csv"
+        uncertainty_by_novelty(filter_split(ds, "test"), known).write_csv(expected)
+        outdir = tmp_path / "out"
+        assert run_cli(["study", "--input", str(data), "--output-dir", str(outdir), "--study", "novelty"]) == 0
+        assert (outdir / "novelty.csv").read_bytes() == expected.read_bytes()
 
     def test_novelty_without_tags_exits_3(self, tmp_path):
         rows = ["sample_id,label,split,family,m0,m1"]

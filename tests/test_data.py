@@ -1,6 +1,12 @@
+import csv
+import io
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from lowfpr import data
 from lowfpr.data import (
     DatasetError,
     PredictionDataset,
@@ -9,6 +15,7 @@ from lowfpr.data import (
     save_dataset,
     subsample,
 )
+from lowfpr.synth import default_scenario, generate
 
 
 def make_dataset(n=12, t=3, seed=0, split="validation"):
@@ -199,9 +206,263 @@ class TestSubsample:
             np.testing.assert_array_equal(out.scores[j], ds.scores[i])
 
 
+COLUMNS = ("sample_ids", "labels", "splits", "families", "scores")
+
+
+def assert_same_columns(got, want):
+    """Equal values, dtypes, layout and element types, column by column."""
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.flags.c_contiguous and not a.flags.writeable, name
+        np.testing.assert_array_equal(a, b)
+        assert [type(x) for x in a.ravel()[:50]] == [type(x) for x in b.ravel()[:50]], name
+
+
 class TestImmutability:
     def test_columns_are_read_only(self):
         ds = make_dataset()
         for col in (ds.scores, ds.labels, ds.splits, ds.families, ds.sample_ids):
             with pytest.raises(ValueError):
                 col[0] = col[0]
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_derived_datasets_match_public_construction(self, fmt, tmp_path):
+        ds = make_dataset(n=40, seed=6)
+        path = tmp_path / f"d.{fmt}"
+        save_dataset(ds, path, fmt)
+        derived = [load_dataset(path, fmt), filter_split(ds, "validation"), subsample(ds, 0.5, seed=1)]
+        for got in derived:
+            public = PredictionDataset(**{name: getattr(got, name) for name in COLUMNS})
+            assert_same_columns(got, public)
+            for col in (getattr(got, name) for name in COLUMNS):
+                with pytest.raises(ValueError):
+                    col[0] = col[0]
+
+    def test_selection_and_bulk_loading_skip_revalidation(self, tmp_path, monkeypatch):
+        ds = make_dataset(n=30, seed=2)
+        path = tmp_path / "d.csv"
+        save_dataset(ds, path)
+
+        def revalidate(self):
+            raise AssertionError("dataset validated again")
+
+        monkeypatch.setattr(PredictionDataset, "__post_init__", revalidate)
+        assert len(filter_split(ds, "validation")) == 30
+        assert len(subsample(ds, 0.5, seed=3)) == 15
+        assert len(load_dataset(path)) == 30
+
+
+def reference_csv(ds):
+    """The row-by-row CSV writer that save_dataset must match byte for byte."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["sample_id", "label", "split", "family"] + [f"m{k}" for k in range(ds.member_count)])
+    for i in range(len(ds)):
+        family = ds.families[i] if ds.families[i] is not None else ""
+        writer.writerow([ds.sample_ids[i], int(ds.labels[i]), ds.splits[i], family] + [repr(float(s)) for s in ds.scores[i]])
+    return out.getvalue().encode("utf-8")
+
+
+def reference_jsonl(ds):
+    """The row-by-row JSON Lines writer that save_dataset must match byte for byte."""
+    lines = []
+    for i in range(len(ds)):
+        row = {
+            "id": ds.sample_ids[i],
+            "label": int(ds.labels[i]),
+            "split": ds.splits[i],
+            "family": ds.families[i],
+            "scores": [float(s) for s in ds.scores[i]],
+        }
+        lines.append(json.dumps(row) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+class TestWriters:
+    ODD_IDS = ["plain", "com,ma", 'quo"te', "new\nline", "cr\rret", " pad ", "ünï", "日本", ""]
+
+    def odd_dataset(self):
+        n = len(self.ODD_IDS)
+        rng = np.random.default_rng(4)
+        labels = np.arange(n) % 2
+        scores = rng.uniform(0, 1, (n, 3))
+        scores[0] = [0.0, 1.0, 1e-300]
+        return PredictionDataset(
+            sample_ids=np.array(self.ODD_IDS, dtype=object),
+            labels=labels,
+            splits=np.array(["train", "validation", "test"] * 3, dtype=object),
+            families=np.array([("fam,\"x" if k % 4 == 1 else "f2") if lab else None for k, lab in enumerate(labels)], dtype=object),
+            scores=scores,
+        )
+
+    @pytest.mark.parametrize("fmt, reference", [("csv", reference_csv), ("jsonl", reference_jsonl)])
+    def test_matches_row_writer(self, fmt, reference, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_WRITE_BLOCK", 4)  # several blocks, the last one partial
+        for ds in (self.odd_dataset(), make_dataset(n=23, seed=9)):
+            path = tmp_path / f"d.{fmt}"
+            save_dataset(ds, path, fmt)
+            assert path.read_bytes() == reference(ds)
+            assert_same_columns(load_dataset(path, fmt), ds)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_synth_file_reloads_and_saves_byte_identically(self, fmt, tmp_path):
+        ds = generate(replace(default_scenario(seed=3), n_benign=300, n_malicious=300))
+        first, second = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+        save_dataset(ds, first, fmt)
+        save_dataset(load_dataset(first, fmt), second, fmt)
+        assert second.read_bytes() == first.read_bytes()
+
+
+def load_outcome(load, *args):
+    try:
+        return load(*args)
+    except Exception as exc:  # the loaders must fail alike, whatever the exception
+        return type(exc), str(exc)
+
+
+def assert_loaders_agree(path, fmt):
+    """load_dataset gives what the row path gives: equal columns, or the same error."""
+    rows = data._csv_rows if fmt == "csv" else data._jsonl_rows
+    want = load_outcome(rows, path)
+    got = load_outcome(load_dataset, path, fmt)
+    if isinstance(want, PredictionDataset):
+        assert isinstance(got, PredictionDataset), got
+        assert_same_columns(got, want)
+        assert got.provenance == want.provenance
+    else:
+        assert got == want
+
+
+class TestLoaderEquivalence:
+    """The bulk loaders agree with the row-by-row path on every input."""
+
+    HEADER = "sample_id,label,split,family,m0,m1\n"
+    VALID = "a,0,train,,0.1,0.2\nb,1,test,famX,0.9,0.8\n"
+    CSV_BODIES = {
+        "valid": VALID,
+        "blank lines": "\n" + VALID.replace("\n", "\n\n", 1) + "\n\n",
+        "crlf": VALID.replace("\n", "\r\n"),
+        "lone cr": VALID.replace("\n", "\r"),
+        "mixed endings": "a,0,train,,0.1,0.2\r\nb,1,test,famX,0.9,0.8\n",
+        "no final newline": VALID.rstrip("\n"),
+        "non-ascii ids": "ünï,0,train,,0.1,0.2\n日本,1,test,famé,0.9,0.8\n",
+        "whitespace line": VALID + " \n",
+        "short row": VALID + "c,0,train,,0.5\n",
+        "long row": VALID + "c,0,train,,0.5,0.5,0.5\n",
+        "label with space": VALID + "c, 1,train,,0.5,0.5\n",
+        "label as float": VALID + "c,1.0,train,,0.5,0.5\n",
+        "bad split": VALID + "c,0,dev,,0.5,0.5\n",
+        "tagged benign": VALID + "c,0,train,f,0.5,0.5\n",
+        "duplicate id": VALID + "a,0,train,,0.5,0.5\n",
+        "out of range": VALID + "c,0,train,,0.5,1.5\n",
+        "hash in field": VALID + "c#1,0,train,,0.5,0.5#\n",
+        "quoted fields": '"a",0,train,,0.1,0.2\n"b""c",1,test,"famX",0.9,0.8\n',
+    }
+    SPELLINGS = [" 0.5", "0.5 ", "1_0", "0_5", "nan", "inf", "-inf", "1e-400", "+.5", "-0", "5e-1", "٠.٥", "\x1c0.5", "0.5\x1f", ""]
+
+    def write(self, tmp_path, text, suffix="csv"):
+        path = tmp_path / f"d.{suffix}"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    @pytest.mark.parametrize("body", list(CSV_BODIES.values()), ids=list(CSV_BODIES))
+    def test_csv_inputs(self, tmp_path, body):
+        assert_loaders_agree(self.write(tmp_path, self.HEADER + body), "csv")
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n" + HEADER, HEADER, "\ufeff" + HEADER + VALID, HEADER.replace("m1", "m2") + VALID])
+    def test_csv_headers(self, tmp_path, text):
+        assert_loaders_agree(self.write(tmp_path, text), "csv")
+
+    def test_csv_quoted_fields(self, tmp_path):
+        out = io.StringIO(newline="")
+        writer = csv.writer(out)
+        writer.writerow(self.HEADER.strip().split(","))
+        for k, sample_id in enumerate(["com,ma", 'quo"te', "new\nline", "cr\rret", "plain"]):
+            writer.writerow([sample_id, 1, "test", 'f,"x', 0.5, k / 10])
+        assert_loaders_agree(self.write(tmp_path, out.getvalue()), "csv")
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_csv_score_spellings(self, tmp_path, spelling):
+        assert_loaders_agree(self.write(tmp_path, self.HEADER + self.VALID + f"c,0,train,,{spelling},0.5\n"), "csv")
+
+    def test_csv_one_character_around_a_score(self, tmp_path):
+        # Every ASCII character and every character float() may strip as
+        # whitespace, before and after a score.
+        chars = [chr(c) for c in range(128)] + [chr(c) for c in range(128, 0x3001) if chr(c).isspace()]
+        for c in chars:
+            for score in (c + "0.5", "0.5" + c):
+                assert_loaders_agree(self.write(tmp_path, self.HEADER + f"a,0,train,,0.25,{score}\n"), "csv")
+
+    def test_csv_overlong_field(self, tmp_path):
+        long_id = "x" * (csv.field_size_limit() + 1)
+        assert_loaders_agree(self.write(tmp_path, self.HEADER + f"{long_id},0,train,,0.1,0.2\n"), "csv")
+
+    @staticmethod
+    def record(sample_id="a", label=0, split="train", family=None, scores=(0.1, 0.2), **extra):
+        return json.dumps(dict(id=sample_id, label=label, split=split, family=family, scores=list(scores), **extra))
+
+    def jsonl_cases(self):
+        r = self.record
+        valid = [r(), r("b", 1, "test", "famX", (0.9, 0.8))]
+        cases = {
+            "valid": valid,
+            "blank lines": ["", valid[0], "  ", "", valid[1], ""],
+            "label 1": [r(label=1)],
+            'label "1"': [r(label="1")],
+            "label true": [r(label=True)],
+            "label 1.0": [r(label=1.0)],
+            "odd ids": [r('com,ma "quo"\nnl'), r("ünï"), json.dumps({"id": "日本", "label": 0, "split": "test", "family": None, "scores": [0.5, 0.5]}, ensure_ascii=False)],
+            "numeric ids": [r(7), r("7")],
+            "empty family tag": [r(family="")],
+            "numeric family": [r(label=1, family=3)],
+            "int and bool scores": [r(scores=(0, 1)), r("b", scores=(True, 0.5))],
+            "string scores": [r(scores=(" 0.5", "1_0")), r("b", scores=("+.5", "1e-400"))],
+            "tiny score": ['{"id": "a", "label": 0, "split": "train", "family": null, "scores": [1e-400, 0.5]}'],
+            "nan score": ['{"id": "a", "label": 0, "split": "train", "family": null, "scores": [NaN, 0.5]}'],
+            "inf score": ['{"id": "a", "label": 0, "split": "train", "family": null, "scores": [Infinity, 0.5]}'],
+            "string nan": [r(scores=("nan", 0.5))],
+            "null score": [r(scores=(None, 0.5))],
+            "nested scores": [r(scores=([0.5], [0.5]))],
+            "object in scores": [r(scores=({}, 0.5))],
+            "scores not a list": [r(scores=()).replace("[]", '"0.5"')],
+            "empty scores": [r(scores=())],
+            "ragged scores": [r(), r("b", scores=(0.1, 0.2, 0.3))],
+            "not an object": ["[1, 2]"],
+            "missing key": [r().replace('"split": "train", ', "")],
+            "invalid json": [valid[0], "{not json"],
+            "two values on a line": [valid[0] + " " + valid[1]],
+            "value across lines": [valid[0][:-1] + ', "x": [{}', "{}]}"],
+            "extra key": [r(extra=1)],
+            "leading space": [" " + valid[0]],
+            "huge int id": [r(0).replace('"id": 0', '"id": ' + "9" * 5000)],
+        }
+        return cases
+
+    def test_jsonl_inputs(self, tmp_path):
+        for name, lines in self.jsonl_cases().items():
+            for ending in ("\n", "\r\n", "\r"):
+                path = self.write(tmp_path, ending.join(lines) + ending, "jsonl")
+                assert_loaders_agree(path, "jsonl")
+
+    def test_jsonl_empty_file(self, tmp_path):
+        assert_loaders_agree(self.write(tmp_path, "", "jsonl"), "jsonl")
+
+    def test_plain_files_skip_the_row_path(self, tmp_path, monkeypatch):
+        ds = generate(replace(default_scenario(seed=4), n_benign=150, n_malicious=150))
+        paths = {}
+        for fmt in ("csv", "jsonl"):
+            paths[fmt] = tmp_path / f"synth.{fmt}"
+            save_dataset(ds, paths[fmt], fmt)
+        crlf_blank = self.write(tmp_path, self.HEADER + "\n" + self.VALID.replace("\n", "\r\n\n"))
+        blank_jsonl = self.write(tmp_path, "\n".join(["", self.record(), " ", self.record("b"), ""]), "jsonl")
+
+        def row_path(path):
+            raise AssertionError(f"{path} went through the row path")
+
+        monkeypatch.setattr(data, "_csv_rows", row_path)
+        monkeypatch.setattr(data, "_jsonl_rows", row_path)
+        for fmt, path in paths.items():
+            assert_same_columns(load_dataset(path, fmt), ds)
+        assert len(load_dataset(crlf_blank)) == 2
+        assert len(load_dataset(blank_jsonl, "jsonl")) == 2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lowfpr import uncertainty
 from lowfpr.data import PredictionDataset
 from lowfpr.uncertainty import (
     binary_entropy,
@@ -144,6 +145,14 @@ class TestComputeUncertainties:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             compute_uncertainties(_empty())
+
+    def test_cancellation_floor_is_one_check(self, monkeypatch):
+        monkeypatch.setattr(uncertainty, "_EPISTEMIC_FLOOR", 1.0)  # every real epistemic value is below it
+        floor = r"epistemic uncertainty 0\.\d+ below the cancellation floor"
+        with pytest.raises(RuntimeError, match=rf"^{floor}; decomposition is inconsistent$"):
+            uncertainty_triple([0.2, 0.8])
+        with pytest.raises(RuntimeError, match=rf"^{floor} for sample 's0'; decomposition is inconsistent$"):
+            compute_uncertainties(dataset_from_scores([[0.2, 0.8]]))
 
     def test_measure_selector(self):
         table = compute_uncertainties(dataset_from_scores([[0.2, 0.8], [0.5, 0.5]]))
