@@ -8,7 +8,6 @@ from .adjust import (
     CalibrationEvaluation,
     CalibrationResult,
     Variant,
-    apply_adjustment,
     brent_minimize,
     evaluate_calibration,
     fit_global,

@@ -85,17 +85,6 @@ def _apply(variant: Variant, y: np.ndarray, e: np.ndarray, a: np.ndarray, alpha)
     return y + np.where(y > a0, a1 * e + a2 * a, a3 * e + a4 * a)
 
 
-def apply_adjustment(y_hat, u_epis, u_alea, params: AdjustmentParams):
-    """Rescore samples. Scalar inputs give a float, arrays give an array."""
-    y = np.asarray(y_hat, dtype=np.float64)
-    e = np.asarray(u_epis, dtype=np.float64)
-    a = np.asarray(u_alea, dtype=np.float64)
-    out = _apply(params.variant, y, e, a, params.alpha)
-    if y.ndim == 0:
-        return float(out)
-    return out
-
-
 _GOLDEN = 0.3819660112501051  # 2 - golden ratio
 
 

@@ -4,14 +4,13 @@ a self-contained Wilcoxon signed-rank test and histogram binning.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import PredictionDataset
+from .data import PredictionDataset, _field_columns, _write_csv
 from .rocmetrics import accuracy, auc, partial_auc, roc_curve
 from .uncertainty import compute_uncertainties
 
@@ -54,13 +53,7 @@ def ensemble_vs_members(
 
 
 def write_comparison_csv(rows: tuple[ComparisonRow, ...], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "accuracy", "auc", "partial_auc", "is_ensemble"])
-        for r in rows:
-            writer.writerow(
-                [r.model_name, repr(r.accuracy), repr(r.auc), repr(r.partial_auc), "true" if r.is_ensemble else "false"]
-            )
+    _write_csv(path, ("model", "accuracy", "auc", "partial_auc", "is_ensemble"), _field_columns(rows, ComparisonRow))
 
 
 @dataclass(frozen=True)
@@ -82,12 +75,9 @@ class GroupSplit:
         return float(self.values[i].mean())
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample_id", "group", "value"])
-            for label, ids, vals in zip(self.labels, self.sample_ids, self.values):
-                for sid, v in zip(ids, vals):
-                    writer.writerow([sid, label, repr(float(v))])
+        groups = np.repeat(np.array(self.labels, dtype=object), [v.size for v in self.values])
+        columns = [np.concatenate(self.sample_ids), groups, np.concatenate(self.values)]
+        _write_csv(path, ("sample_id", "group", "value"), columns)
 
 
 def uncertainty_by_correctness(ds: PredictionDataset, threshold: float, measure: str = "epistemic") -> GroupSplit:
@@ -115,11 +105,10 @@ def uncertainty_by_novelty(ds: PredictionDataset, known_families, measure: str =
     known = set(known_families)
     table = compute_uncertainties(ds)
     values = table.measure(measure)
-    tagged = np.array([f is not None for f in ds.families], dtype=bool)
-    malicious = (ds.labels == 1) & tagged
+    malicious = (ds.labels == 1) & (ds.families != None)  # noqa: E711  (elementwise)
     if not malicious.any():
         raise ValueError("no family-tagged malicious samples to split")
-    seen = malicious & np.array([f in known for f in ds.families], dtype=bool)
+    seen = malicious & np.isin(ds.families, list(known))
     unseen = malicious & ~seen
     return GroupSplit(
         measure=measure,
@@ -229,15 +218,6 @@ class HistogramResult:
     underflow: int
     overflow: int
     normalization: str
-
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_lo", "bin_hi", "value"])
-            for k in range(self.values.size):
-                writer.writerow([repr(float(self.edges[k])), repr(float(self.edges[k + 1])), repr(float(self.values[k]))])
-            writer.writerow(["underflow", "", self.underflow])
-            writer.writerow(["overflow", "", self.overflow])
 
 
 def histogram(values, spec: HistogramSpec) -> HistogramResult:

@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from . import adjust, analysis, protocol, synth
-from .data import DatasetError, filter_split, load_dataset, save_dataset
+from .data import DatasetError, _write_csv, filter_split, load_dataset, save_dataset
 from .uncertainty import compute_uncertainties
 
 DEFAULT_TARGET_GRID = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -41,6 +41,14 @@ def _split_or_die(ds, split: str):
     if len(part) == 0:
         raise DatasetError(f"input has no records in the '{split}' split")
     return part
+
+
+def _warn_if_unresolvable(target_fpr: float, part, split: str) -> None:
+    """Warn on stderr when not one false positive fits the budget on this split (the study's attainable rule)."""
+    n_neg = len(part) - int(part.labels.sum())
+    if target_fpr < 1.0 / n_neg:
+        msg = f"target FPR {target_fpr:g} is below 1/{n_neg}, one false positive among the {n_neg} {split} negatives"
+        click.echo(f"warning: {msg}; no nonzero FPR on this split fits the budget", err=True)
 
 
 def _outdir(path: str) -> Path:
@@ -102,6 +110,7 @@ def cmd_fit(
     result = adjust.fit_local(
         val, target_fpr, v, seed=seed, multiplier=multiplier, sweep_tol=sweep_tol, max_sweeps=max_sweeps
     )
+    _warn_if_unresolvable(target_fpr, val, "validation")
     out = _outdir(output_dir) / f"calibration_{variant}_{target_fpr:g}.json"
     adjust.save_calibration(result, out)
     op = result.achieved_val
@@ -122,10 +131,10 @@ def cmd_eval(input_path: str, fmt: str, output_dir: str, calibration_path: str, 
     result = adjust.load_calibration(calibration_path)
     outcome = adjust.evaluate_calibration(test, result, target_fpr)
     target = result.target_fpr if target_fpr is None else target_fpr
+    _warn_if_unresolvable(target, test, "test")
     out = _outdir(output_dir) / "evaluation.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        fh.write("target_fpr,tpr,actualized_fpr,combined\n")
-        fh.write(f"{target!r},{outcome.tpr!r},{outcome.actualized_fpr!r},{outcome.combined!r}\n")
+    columns = [[value] for value in (target, *outcome)]
+    _write_csv(out, ("target_fpr", "tpr", "actualized_fpr", "combined"), columns, lineterminator="\n")
     click.echo(f"tpr={outcome.tpr!r} actualized_fpr={outcome.actualized_fpr!r} combined={outcome.combined!r}")
     click.echo(f"wrote {out}")
 
@@ -149,9 +158,9 @@ def cmd_eval(input_path: str, fmt: str, output_dir: str, calibration_path: str, 
     help="Target FPR (repeatable). Default grid: 1e-2 1e-3 1e-4 1e-5.",
 )
 @click.option("--fractions", default="1,0.1,0.01", show_default=True, help="Subsample fractions, comma separated.")
-@click.option("--study-seeds", type=int, default=20, show_default=True, help="Number of subsample seeds.")
+@click.option("--study-seeds", type=click.IntRange(min=1), default=20, show_default=True, help="Subsample study seeds.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Base seed for the subsample study.")
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker threads for the subsample study.")
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True, help="Subsample study threads.")
 @click.option("--fpr-max", type=float, default=1e-3, show_default=True, help="Partial-AUC cut for the table1 study.")
 @click.option("--threshold", type=float, default=0.5, show_default=True, help="Decision threshold for the errors study.")
 @click.option(
@@ -187,12 +196,12 @@ def cmd_study(
     elif study_name == "subsample":
         val = _split_or_die(ds, "validation")
         test = _split_or_die(ds, "test")
-        if study_seeds < 1:
-            raise click.UsageError("--study-seeds must be at least 1")
         try:
             fraction_list = [float(f) for f in fractions.split(",") if f.strip() != ""]
         except ValueError:
-            raise click.UsageError(f"--fractions must be comma-separated numbers, got {fractions!r}") from None
+            fraction_list = []
+        if not fraction_list:
+            raise click.UsageError(f"--fractions must be comma-separated numbers, got {fractions!r}")
         rows = protocol.subsampling_study(
             val, test, fraction_list, targets, seeds=[seed + k for k in range(study_seeds)], threads=threads
         )

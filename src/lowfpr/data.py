@@ -10,8 +10,11 @@ are supported:
 
 Each input is parsed and validated once, column by column. A CSV goes through
 one ``np.loadtxt`` call; JSON Lines are decoded a chunk of lines at a time and
-reduced to columns. The columns are then checked whole: labels, splits,
-member counts, score ranges, family tags on benign rows and unique ids.
+reduced to columns. One column check, ``_column_fault``, holds the schema's
+rules: labels are 0 or 1, splits are known, scores lie in [0, 1], benign rows
+carry no family tag, ids are unique. It names the first offending row.
+``PredictionDataset(...)`` raises DatasetError with that message; the loaders
+use it to decide whether the parsed columns can be trusted.
 
 When a check fails, or a CSV holds anything that ``np.loadtxt`` might read
 differently from ``csv.reader`` and ``float()`` (a quote, a carriage return
@@ -24,13 +27,16 @@ share them without copying. ``PredictionDataset(...)`` validates and copies
 its columns. The loaders, ``filter_split`` and ``subsample`` build their
 results from columns that are already valid through the private
 ``PredictionDataset._trusted``, which skips that validation.
+
+Every CSV table the package writes, datasets and study results alike, goes
+through ``_write_csv``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +53,7 @@ _FORMATS = ("csv", "jsonl")
 _CSV_UNSAFE = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
 # Bytes of JSON lines decoded before their objects are reduced to columns.
 _JSONL_CHUNK = 1 << 20
-# Rows turned into Python objects at a time by save_dataset.
+# Rows turned into Python objects at a time by the writers.
 _WRITE_BLOCK = 4096
 
 
@@ -88,29 +94,8 @@ class PredictionDataset:
         for name, col in (("sample_ids", ids), ("labels", labels), ("splits", splits), ("families", families)):
             if col.shape[0] != n:
                 raise DatasetError(f"{name} has length {col.shape[0]}, expected {n}")
-        bad = ~np.isin(labels, (0, 1))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DatasetError(f"label must be 0 or 1, got {labels[i]} for sample '{ids[i]}'")
-        bad = ~np.isin(splits, SPLIT_NAMES)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DatasetError(f"unknown split '{splits[i]}' for sample '{ids[i]}'")
-        with np.errstate(invalid="ignore"):
-            bad = ~((scores >= 0.0) & (scores <= 1.0))
-        if bad.any():
-            i, j = np.unravel_index(int(np.argmax(bad)), scores.shape)
-            raise DatasetError(f"score m{j}={scores[i, j]!r} outside [0, 1] for sample '{ids[i]}'")
-        tagged_benign = (labels == 0) & (families != None)  # noqa: E711  (elementwise)
-        if tagged_benign.any():
-            i = int(np.argmax(tagged_benign))
-            raise DatasetError(f"benign sample '{ids[i]}' carries family tag '{families[i]}'")
-        if len(set(ids)) != n:
-            seen: set[str] = set()
-            for s in ids:
-                if s in seen:
-                    raise DatasetError(f"duplicate sample_id '{s}'")
-                seen.add(s)
+        if (fault := _column_fault(ids, labels, splits, families, scores)) is not None:
+            raise DatasetError(fault)
         self._set_columns(ids, labels, splits, families, scores)
 
     def _set_columns(self, *columns: np.ndarray) -> None:
@@ -145,6 +130,38 @@ class PredictionDataset:
     @property
     def member_count(self) -> int:
         return int(self.scores.shape[1])
+
+
+def _column_fault(ids, labels, splits, families, scores: np.ndarray) -> str | None:
+    """The message for the first row that breaks a column rule, or None when every row keeps them.
+
+    The rules, in the order they are checked: labels are 0 or 1, splits are
+    known, scores lie in [0, 1], benign rows carry no family tag, ids are unique.
+    """
+    bad = ~np.isin(labels, (0, 1))
+    if bad.any():
+        i = int(np.argmax(bad))
+        return f"label must be 0 or 1, got {labels[i]} for sample '{ids[i]}'"
+    bad = ~np.isin(splits, SPLIT_NAMES)
+    if bad.any():
+        i = int(np.argmax(bad))
+        return f"unknown split '{splits[i]}' for sample '{ids[i]}'"
+    with np.errstate(invalid="ignore"):
+        bad = ~((scores >= 0.0) & (scores <= 1.0))
+    if bad.any():
+        i, j = np.unravel_index(int(np.argmax(bad)), scores.shape)
+        return f"score m{j}={scores[i, j]!r} outside [0, 1] for sample '{ids[i]}'"
+    bad = (labels == 0) & (families != None)  # noqa: E711  (elementwise)
+    if bad.any():
+        i = int(np.argmax(bad))
+        return f"benign sample '{ids[i]}' carries family tag '{families[i]}'"
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for s in ids:
+            if s in seen:
+                return f"duplicate sample_id '{s}'"
+            seen.add(s)
+    return None
 
 
 def _read_json(path: str | Path):
@@ -189,24 +206,18 @@ def _parse_score(raw: object, field: str, where: str) -> float:
 def _checked(ids, labels, splits, families, scores: np.ndarray, provenance: str) -> PredictionDataset | None:
     """Parsed columns as a dataset when they pass every check of the row path, else None.
 
-    ``labels`` holds the label fields as text; ``families`` holds ``None`` for
-    an untagged row.
+    ``labels`` holds the label fields as text, so that only "0" and "1" pass
+    (``1.0`` is left to the row path); ``families`` holds ``None`` for an
+    untagged row.
     """
-    ids = np.array(ids, dtype=object)
     labels = np.asarray(labels, dtype=object)
-    splits = np.array(splits, dtype=object)
-    families = np.array(families, dtype=object)
-    scores = np.ascontiguousarray(scores, dtype=np.float64)
     malicious = labels == "1"
-    with np.errstate(invalid="ignore"):
-        in_range = (scores >= 0.0) & (scores <= 1.0)
-    if not (
-        (malicious | (labels == "0")).all()
-        and np.isin(splits, SPLIT_NAMES).all()
-        and not ((families != None) & ~malicious).any()  # noqa: E711  (elementwise)
-        and in_range.all()
-        and len(set(ids)) == len(ids)
-    ):
+    if not (malicious | (labels == "0")).all():
+        return None
+    ids, splits, families = (np.array(col, dtype=object) for col in (ids, splits, families))
+    scores = np.ascontiguousarray(scores, dtype=np.float64)
+    # The bools check as the labels would (False == 0, True == 1); int64 labels come after, off the memory peak.
+    if _column_fault(ids, malicious, splits, families, scores) is not None:
         return None
     return PredictionDataset._trusted(ids, malicious.astype(np.int64), splits, families, scores, provenance)
 
@@ -312,14 +323,7 @@ def _csv_rows(path: Path) -> PredictionDataset:
             splits.append(split)
             families.append(family)
             rows.append([_parse_score(raw, f"m{k}", where) for k, raw in enumerate(row[4:])])
-    return PredictionDataset(
-        sample_ids=np.array(ids, dtype=object),
-        labels=np.array(labels, dtype=np.int64),
-        splits=np.array(splits, dtype=object),
-        families=np.array(families, dtype=object),
-        scores=np.array(rows, dtype=np.float64).reshape(len(ids), t),
-        provenance=str(path),
-    )
+    return _from_rows(ids, labels, splits, families, rows, t, path)
 
 
 def _jsonl_rows(path: Path) -> PredictionDataset:
@@ -373,14 +377,12 @@ def _jsonl_rows(path: Path) -> PredictionDataset:
             rows.append([_parse_score(raw, f"scores[{k}]", where) for k, raw in enumerate(raw_scores)])
     if t is None:
         raise DatasetError(f"{path}: no records, cannot infer member count")
-    return PredictionDataset(
-        sample_ids=np.array(ids, dtype=object),
-        labels=np.array(labels, dtype=np.int64),
-        splits=np.array(splits, dtype=object),
-        families=np.array(families, dtype=object),
-        scores=np.array(rows, dtype=np.float64).reshape(len(ids), t),
-        provenance=str(path),
-    )
+    return _from_rows(ids, labels, splits, families, rows, t, path)
+
+
+def _from_rows(ids, labels, splits, families, rows: list[list[float]], t: int, path: Path) -> PredictionDataset:
+    scores = np.array(rows, dtype=np.float64).reshape(len(ids), t)
+    return PredictionDataset(np.array(ids, dtype=object), labels, splits, families, scores, str(path))
 
 
 def load_dataset(path: str | Path, format: str = "csv") -> PredictionDataset:
@@ -397,36 +399,38 @@ def save_dataset(ds: PredictionDataset, path: str | Path, format: str = "csv") -
     """Write a dataset to disk. Floats keep full round-trip precision."""
     path = Path(path)
     if _check_format(format) == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([*_FIXED_COLUMNS, *(f"m{k}" for k in range(ds.member_count))])
-            for ids, labels, splits, families, scores in _row_blocks(ds):
-                # csv writes a float as its repr and None as an empty field.
-                writer.writerows(zip(ids, labels, splits, families, *scores.T.tolist()))
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            for block in _row_blocks(ds):
-                fh.writelines(
-                    json.dumps({"id": i, "label": label, "split": split, "family": family, "scores": scores.tolist()})
-                    + "\n"
-                    for i, label, split, family, scores in zip(*block)
-                )
+        header = [*_FIXED_COLUMNS, *(f"m{k}" for k in range(ds.member_count))]
+        _write_csv(path, header, [ds.sample_ids, ds.labels, ds.splits, ds.families, *ds.scores.T])
+        return
+    columns = (ds.sample_ids, ds.labels, ds.splits, ds.families, ds.scores)
+    with open(path, "w", encoding="utf-8") as fh:
+        for lo in range(0, len(ds), _WRITE_BLOCK):
+            rows = zip(*(col[lo : lo + _WRITE_BLOCK].tolist() for col in columns))
+            fh.writelines(
+                json.dumps({"id": i, "label": label, "split": split, "family": family, "scores": scores}) + "\n"
+                for i, label, split, family, scores in rows
+            )
 
 
-def _row_blocks(ds: PredictionDataset):
-    """The columns of consecutive blocks of rows, all but the scores as lists of Python objects.
+def _write_csv(path: str | Path, header, columns, lineterminator: str = "\r\n") -> None:
+    """Write equal-length columns under a header row as a CSV table.
 
-    Writing a block at a time keeps a writer from holding every row as Python objects.
+    The columns are turned into Python objects ``_WRITE_BLOCK`` rows at a time
+    with ``tolist()``: csv writes a float as its repr and None as an empty
+    field, and a bool column is written as ``true`` or ``false``.
     """
-    for lo in range(0, len(ds), _WRITE_BLOCK):
-        rows = slice(lo, lo + _WRITE_BLOCK)
-        yield (
-            ds.sample_ids[rows].tolist(),
-            ds.labels[rows].tolist(),
-            ds.splits[rows].tolist(),
-            ds.families[rows].tolist(),
-            ds.scores[rows],
-        )
+    columns = [np.asarray(col) for col in columns]
+    columns = [np.where(col, "true", "false") if col.dtype == bool else col for col in columns]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(header)
+        for lo in range(0, len(columns[0]), _WRITE_BLOCK):
+            writer.writerows(zip(*(col[lo : lo + _WRITE_BLOCK].tolist() for col in columns)))
+
+
+def _field_columns(rows, row_type) -> list[list]:
+    """One list per field of the dataclass ``row_type``, in field order, over ``rows``."""
+    return [[getattr(r, f.name) for r in rows] for f in fields(row_type)]
 
 
 def filter_split(ds: PredictionDataset, split: str) -> PredictionDataset:

@@ -12,14 +12,13 @@ and at which point low FPR targets stop being estimable at all.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import PredictionDataset, subsample
+from .data import PredictionDataset, _field_columns, _write_csv, subsample
 from .rocmetrics import OperatingPoint, evaluate_at_threshold, select_threshold
 
 
@@ -145,6 +144,8 @@ def subsampling_study(
     do not depend on the thread count.
     """
     fractions = [float(f) for f in fractions]
+    if not fractions:
+        raise ValueError("fractions is empty")
     for f in fractions:
         if not (0.0 < f <= 1.0):
             raise ValueError(f"fraction must be in (0, 1], got {f!r}")
@@ -191,37 +192,10 @@ def subsampling_study(
 
 
 def write_protocol_csv(points: list[ProtocolCurvePoint], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target_fpr", "valid_tpr", "valid_fpr", "invalid_tpr", "rel_error"])
-        for p in points:
-            writer.writerow(
-                [
-                    repr(p.target_fpr),
-                    repr(p.valid_tpr),
-                    repr(p.valid_actualized_fpr),
-                    repr(p.invalid_tpr),
-                    "" if p.rel_error is None else repr(p.rel_error),
-                ]
-            )
+    header = ("target_fpr", "valid_tpr", "valid_fpr", "invalid_tpr", "rel_error")
+    _write_csv(path, header, _field_columns(points, ProtocolCurvePoint))
 
 
 def write_study_csv(rows: list[StudyRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["fraction", "seed", "target_fpr", "valid_tpr", "valid_fpr", "invalid_tpr", "rel_error", "attainable"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    repr(r.fraction),
-                    r.seed,
-                    repr(r.target_fpr),
-                    repr(r.valid_tpr),
-                    repr(r.valid_fpr),
-                    repr(r.invalid_tpr),
-                    "" if r.rel_error is None else repr(r.rel_error),
-                    "true" if r.attainable else "false",
-                ]
-            )
+    header = ("fraction", "seed", "target_fpr", "valid_tpr", "valid_fpr", "invalid_tpr", "rel_error", "attainable")
+    _write_csv(path, header, _field_columns(rows, StudyRow))

@@ -10,9 +10,7 @@ the budget's cut among the negative scores with one O(n) partition, not a sort.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -38,13 +36,6 @@ class RocCurve:
 
     def __len__(self) -> int:
         return int(self.thresholds.shape[0])
-
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["threshold", "tpr", "fpr"])
-            for i in range(len(self)):
-                writer.writerow([repr(float(self.thresholds[i])), repr(float(self.tprs[i])), repr(float(self.fprs[i]))])
 
 
 def _score_label_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:

@@ -14,9 +14,7 @@ to floating-point cancellation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -107,7 +105,6 @@ def uncertainty_triple(member_scores) -> UncertaintyTriple:
 class UncertaintyTable:
     """Per-sample ensemble score and uncertainty decomposition."""
 
-    sample_ids: np.ndarray
     yhat: np.ndarray
     predictive_entropy: np.ndarray
     aleatoric: np.ndarray
@@ -127,21 +124,6 @@ class UncertaintyTable:
             raise ValueError(f"unknown measure {name!r}, expected one of {tuple(columns)}")
         return columns[name]
 
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample_id", "yhat", "pred_entropy", "aleatoric", "epistemic"])
-            for i in range(len(self)):
-                writer.writerow(
-                    [
-                        self.sample_ids[i],
-                        repr(float(self.yhat[i])),
-                        repr(float(self.predictive_entropy[i])),
-                        repr(float(self.aleatoric[i])),
-                        repr(float(self.epistemic[i])),
-                    ]
-                )
-
 
 def compute_uncertainties(ds: PredictionDataset) -> UncertaintyTable:
     """Decompose every sample of a dataset. The dataset must be nonempty."""
@@ -150,10 +132,4 @@ def compute_uncertainties(ds: PredictionDataset) -> UncertaintyTable:
     yhat, predictive, aleatoric, epistemic = _decompose(ds.scores, ds.sample_ids)
     for col in (yhat, predictive, aleatoric, epistemic):
         col.setflags(write=False)
-    return UncertaintyTable(
-        sample_ids=ds.sample_ids,
-        yhat=yhat,
-        predictive_entropy=predictive,
-        aleatoric=aleatoric,
-        epistemic=epistemic,
-    )
+    return UncertaintyTable(yhat=yhat, predictive_entropy=predictive, aleatoric=aleatoric, epistemic=epistemic)

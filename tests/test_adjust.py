@@ -9,7 +9,7 @@ from lowfpr.adjust import (
     AdjustmentParams,
     CalibrationResult,
     Variant,
-    apply_adjustment,
+    _apply,
     brent_minimize,
     evaluate_calibration,
     fit_global,
@@ -51,32 +51,30 @@ def small_config(factory, seed, n=4000):
 class TestApplyAdjustment:
     def test_lv1_zero_is_identity(self):
         y = np.array([0.1, 0.5, 0.9])
-        out = apply_adjustment(y, np.array([0.3, 0.1, 0.2]), np.array([0.2, 0.4, 0.1]),
-                               AdjustmentParams(Variant.LV1, (0.0, 0.0)))
+        out = _apply(Variant.LV1, y, np.array([0.3, 0.1, 0.2]), np.array([0.2, 0.4, 0.1]), (0.0, 0.0))
         np.testing.assert_array_equal(out, y)
 
     def test_lv1_weighted_sum(self):
-        got = apply_adjustment(0.4, 0.1, 0.2, AdjustmentParams(Variant.LV1, (0.3, 0.1)))
+        got = _apply(Variant.LV1, 0.4, 0.1, 0.2, (0.3, 0.1))
         assert got == pytest.approx(0.45, abs=1e-15)
-        assert isinstance(got, float)
 
     def test_lv2_exponential_weights(self):
         # exp(0) = 1, so zero rate coefficients reduce to a constant shift
-        got = apply_adjustment(0.4, 0.7, 0.3, AdjustmentParams(Variant.LV2, (0.1, 0.1, 0.0, 0.0)))
+        got = _apply(Variant.LV2, 0.4, 0.7, 0.3, (0.1, 0.1, 0.0, 0.0))
         assert got == pytest.approx(0.6, abs=1e-15)
-        got = apply_adjustment(0.4, 0.5, 0.25, AdjustmentParams(Variant.LV2, (0.2, -0.1, 2.0, 4.0)))
+        got = _apply(Variant.LV2, 0.4, 0.5, 0.25, (0.2, -0.1, 2.0, 4.0))
         assert got == pytest.approx(0.4 + 0.2 * math.exp(1.0) - 0.1 * math.exp(1.0), abs=1e-12)
 
     def test_lv3_branches_on_score(self):
-        params = AdjustmentParams(Variant.LV3, (0.05, 0.5, 0.25, 1.0, 0.75))
-        hi = apply_adjustment(0.2, 0.1, 0.2, params)   # 0.2 > 0.05: first branch
-        lo = apply_adjustment(0.05, 0.1, 0.2, params)  # 0.05 <= 0.05: second branch
+        alpha = (0.05, 0.5, 0.25, 1.0, 0.75)
+        hi = _apply(Variant.LV3, 0.2, 0.1, 0.2, alpha)   # 0.2 > 0.05: first branch
+        lo = _apply(Variant.LV3, 0.05, 0.1, 0.2, alpha)  # 0.05 <= 0.05: second branch
         assert hi == pytest.approx(0.2 + 0.5 * 0.1 + 0.25 * 0.2, abs=1e-15)
         assert lo == pytest.approx(0.05 + 1.0 * 0.1 + 0.75 * 0.2, abs=1e-15)
 
     def test_global_only_copies(self):
         y = np.array([0.2, 0.8])
-        out = apply_adjustment(y, y, y, AdjustmentParams(Variant.GLOBAL_ONLY))
+        out = _apply(Variant.GLOBAL_ONLY, y, y, y, ())
         np.testing.assert_array_equal(out, y)
         assert out is not y
 
@@ -230,7 +228,7 @@ class TestFitLocal:
         table = compute_uncertainties(val)
         for variant in Variant:
             fitted = fit_local(val, 1e-2, variant, seed=4, multiplier=0.8)
-            rescored = apply_adjustment(table.yhat, table.epistemic, table.aleatoric, fitted.params)
+            rescored = _apply(fitted.params.variant, table.yhat, table.epistemic, table.aleatoric, fitted.params.alpha)
             op = select_threshold(rescored, val.labels, 0.8 * 1e-2)
             assert fitted.achieved_val == op
             assert fitted.global_threshold == op.threshold

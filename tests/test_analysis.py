@@ -165,16 +165,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             HistogramSpec(bin_count=3, normalization="fraction")
 
-    def test_csv_includes_overflow_rows(self, tmp_path):
-        result = histogram([0.1, 0.9], HistogramSpec(bin_count=2))
-        out = tmp_path / "hist.csv"
-        result.write_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "bin_lo,bin_hi,value"
-        assert lines[-2].startswith("underflow")
-        assert lines[-1].startswith("overflow")
-        assert len(lines) == 1 + 2 + 2
-
 
 class TestEnsembleVsMembers:
     def test_identical_members_tie(self):

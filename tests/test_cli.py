@@ -148,6 +148,42 @@ class TestFit:
         assert run_cli(["fit", "--input", str(dataset_csv), "--variant", "g"]) == 1
 
 
+class TestUnresolvableTarget:
+    """fit and eval warn, on stderr only, when target * negatives < 1 on the split they use."""
+
+    @pytest.fixture(scope="class")
+    def data_path(self, tmp_path_factory):
+        # about 2,000 negatives in each of validation and test
+        d = tmp_path_factory.mktemp("unresolvable")
+        (d / "config.json").write_text(json.dumps(small_config(n_benign=4000, n_malicious=4000)))
+        assert run_cli(["synth", "--config", str(d / "config.json"), "--output", str(d / "data.csv")]) == 0
+        return d / "data.csv"
+
+    @pytest.mark.parametrize("target, warns", [("1e-05", True), ("0.001", False)])
+    def test_fit_and_eval_warn_below_one_negative(self, data_path, tmp_path, capsys, target, warns):
+        ds = load_dataset(data_path)
+        n_neg = {s: int(((ds.splits == s) & (ds.labels == 0)).sum()) for s in ("validation", "test")}
+        assert min(n_neg.values()) >= 1000
+        capsys.readouterr()
+        assert run_cli(["fit", "--input", str(data_path), "--output-dir", str(tmp_path), "--target-fpr", target]) == 0
+        fit = capsys.readouterr()
+        calibration = tmp_path / f"calibration_g_{float(target):g}.json"
+        written = calibration.read_bytes()
+        assert run_cli(["eval", "--input", str(data_path), "--output-dir", str(tmp_path),
+                        "--calibration", str(calibration)]) == 0
+        evaluation = capsys.readouterr()
+        assert fit.out.startswith(f"fitted g @ target_fpr={float(target):g}: ")
+        assert evaluation.out.startswith("tpr=")
+        for captured, split in ((fit, "validation"), (evaluation, "test")):
+            if warns:
+                assert captured.err.count("\n") == 1 and captured.err.startswith("warning: ")
+                assert f"target FPR {float(target):g} " in captured.err
+                assert f"{n_neg[split]} {split} negatives" in captured.err
+            else:
+                assert captured.err == ""
+        assert calibration.read_bytes() == written
+
+
 class TestEval:
     def test_writes_evaluation_csv(self, dataset_csv, tmp_path, capsys):
         outdir = tmp_path / "out"
@@ -261,6 +297,21 @@ class TestStudy:
     def test_bad_fractions_usage_error(self, dataset_csv, tmp_path):
         assert run_cli(["study", "--input", str(dataset_csv), "--output-dir", str(tmp_path),
                         "--study", "subsample", "--fractions", "1,abc"]) == 1
+
+    @pytest.mark.parametrize("fractions", ["", ",", " , "])
+    def test_empty_fractions_usage_error(self, dataset_csv, tmp_path, capsys, fractions):
+        assert run_cli(["study", "--input", str(dataset_csv), "--output-dir", str(tmp_path),
+                        "--study", "subsample", "--fractions", fractions]) == 1
+        assert f"Error: --fractions must be comma-separated numbers, got {fractions!r}" in capsys.readouterr().err
+        assert not (tmp_path / "subsample.csv").exists()
+
+    @pytest.mark.parametrize("option", ["--threads", "--study-seeds"])
+    def test_count_option_below_one_is_usage_error(self, dataset_csv, tmp_path, capsys, option):
+        assert run_cli(["study", "--input", str(dataset_csv), "--output-dir", str(tmp_path),
+                        "--study", "subsample", option, "0"]) == 1
+        err = capsys.readouterr().err
+        assert f"Invalid value for '{option}': 0 is not in the range x>=1." in err
+        assert not (tmp_path / "subsample.csv").exists()
 
     def test_table1_compares_models(self, dataset_csv, tmp_path):
         outdir = tmp_path / "out"

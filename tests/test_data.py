@@ -466,3 +466,65 @@ class TestLoaderEquivalence:
             assert_same_columns(load_dataset(path, fmt), ds)
         assert len(load_dataset(crlf_blank)) == 2
         assert len(load_dataset(blank_jsonl, "jsonl")) == 2
+
+
+class TestColumnRules:
+    """One column check serves the constructor and the bulk loaders.
+
+    The constructor raises its message; the loaders hand the same rows to the
+    row path, whose message names the line.
+    """
+
+    VALID = [("a", 0, "train", None, (0.1, 0.2)), ("b", 1, "test", "famX", (0.9, 0.8))]
+    RULES = {
+        "label": (
+            ("c", 2, "train", None, (0.5, 0.5)),
+            "label must be 0 or 1, got 2 for sample 'c'",
+            "line 4: label must be 0 or 1, got '2'",
+        ),
+        "split": (
+            ("c", 0, "dev", None, (0.5, 0.5)),
+            "unknown split 'dev' for sample 'c'",
+            "line 4: unknown split 'dev'",
+        ),
+        "score range": (
+            ("c", 0, "train", None, (0.5, 1.5)),
+            f"score m1={np.float64(1.5)!r} outside [0, 1] for sample 'c'",
+            "line 4: field m1='1.5' outside [0, 1]",
+        ),
+        "tagged benign": (
+            ("c", 0, "train", "famY", (0.5, 0.5)),
+            "benign sample 'c' carries family tag 'famY'",
+            "line 4: benign sample 'c' carries family tag 'famY'",
+        ),
+        "duplicate id": (
+            ("a", 0, "train", None, (0.5, 0.5)),
+            "duplicate sample_id 'a'",
+            "line 4: duplicate sample_id 'a' (first seen on line 2)",
+        ),
+    }
+
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_constructor_and_loader(self, tmp_path, monkeypatch, rule):
+        bad_row, constructor_message, row_message = self.RULES[rule]
+        rows = [*self.VALID, bad_row]
+        ids, labels, splits, families, scores = (list(col) for col in zip(*rows))
+        with pytest.raises(DatasetError) as exc:
+            PredictionDataset(sample_ids=ids, labels=labels, splits=splits, families=families, scores=scores)
+        assert str(exc.value) == constructor_message
+
+        path = tmp_path / "d.csv"
+        lines = ["sample_id,label,split,family,m0,m1"]
+        lines += [f"{i},{lab},{s},{f or ''},{a!r},{b!r}" for i, lab, s, f, (a, b) in rows]
+        path.write_text("\n".join(lines) + "\n")
+        row_path, read_rows = [], data._csv_rows
+
+        def spy(p):
+            row_path.append(p)
+            return read_rows(p)
+
+        monkeypatch.setattr(data, "_csv_rows", spy)
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"{path}: {row_message}"
+        assert row_path == [path]

@@ -1,0 +1,69 @@
+"""Byte-level guard on every file the CLI writes.
+
+One small seeded run goes synth (CSV and JSON Lines) -> fit (all four
+variants at 1e-2) -> eval -> all five studies, in process. Each output file's
+sha256 must equal the digest below. A change that alters any output byte
+fails here; if the change is meant to alter outputs, record the new digests
+and say why in CHANGES.md. The digests were recorded with Python 3.11 and
+numpy 2.4 on x86-64; another numpy build may round a float's last bit apart.
+"""
+
+import hashlib
+import json
+from dataclasses import replace
+
+from lowfpr.cli import main
+from lowfpr.synth import novelty_scenario
+
+VARIANTS = ("g", "g+l", "g+lv2", "g+lv3")
+STUDIES = (
+    ("protocol",),
+    ("subsample", "--fractions", "1,0.5", "--study-seeds", "2", "--threads", "2"),
+    ("table1",),
+    ("errors",),
+    ("novelty",),
+)
+
+EXPECTED = {
+    "data.csv": "35f562295db0a5aa2a5dcb36ed620727094c5b42e4d10bf023afa32bf126bf8c",
+    "data.jsonl": "08a84044d6faf6bf0a398455860a74b2302d21a1838ceb72baae3dd1ed2ea01b",
+    "eval_g/evaluation.csv": "3130915b996353cca9a29694c6917d8c343c6055c31c2ff3eeba065425717a9a",
+    "eval_g+l/evaluation.csv": "4d0032c0bd467e8404e2d0987bf8e8bc77b37e016eee5047af37622d7ff8e120",
+    "eval_g+lv2/evaluation.csv": "c0ad0b33bd5b052e845b638533acae5c2c3360346fa78f2b18d3f4139562f594",
+    "eval_g+lv3/evaluation.csv": "ee0513994a6f7142d18ed08e6586692d048473c2f30e75fa201625300c8535fd",
+    "fit/calibration_g+l_0.01.json": "2c541b9b15f225b0f735cfb6a759f9e580936b752fd22801e47059871834dc10",
+    "fit/calibration_g+lv2_0.01.json": "76fd67b1716d10925851b5df496126d4e4432a2283e824131c5b78d3290f07d5",
+    "fit/calibration_g+lv3_0.01.json": "e31a92421d4d86ba6d15394748ea46c86e2daf42e75593035ab88cf47cd749df",
+    "fit/calibration_g_0.01.json": "9f8043d12a06d9e6246acae35a6a15a95535878b13d63862162b361120525f9b",
+    "study/errors.csv": "6078ccf3a32a398642f7240027ca8ba0db3a82faf460018fa91165e6cfc5010a",
+    "study/novelty.csv": "94da650d43213c22d392da4ea916f8044c824410ef3982c3f2931ec70342bc0f",
+    "study/protocol.csv": "745213d4a7954eebe40a2c6dea174780a474f319ad0239266b4587af57340556",
+    "study/subsample.csv": "4a3a678275b22a1abfad83aaf8ab5b156713187982d7e9bc901647e8d52fdee9",
+    "study/table1.csv": "6d116fba9f750909ed7d7af8e08c749190f3a3a9f5f6e777c5c2344cf0ae8920",
+}
+
+
+def run_pipeline(work) -> dict[str, str]:
+    """Run the command chain in ``work``; sha256 of every written file by relative path."""
+    config = replace(novelty_scenario(seed=21), n_benign=1000, n_malicious=1000)
+    (work / "config.json").write_text(json.dumps(config.to_dict()))
+    data = str(work / "data.csv")
+    commands = [
+        ["synth", "--config", str(work / "config.json"), "--output", data],
+        ["synth", "--config", str(work / "config.json"), "--output", str(work / "data.jsonl"), "--format", "jsonl"],
+    ]
+    for v in VARIANTS:
+        commands.append(["fit", "--input", data, "--output-dir", str(work / "fit"), "--variant", v,
+                         "--target-fpr", "0.01", "--seed", "3"])
+        commands.append(["eval", "--input", data, "--output-dir", str(work / f"eval_{v}"),
+                         "--calibration", str(work / "fit" / f"calibration_{v}_0.01.json")])
+    for name, *options in STUDIES:
+        commands.append(["study", "--input", data, "--output-dir", str(work / "study"), "--study", name, *options])
+    for args in commands:
+        assert main(args) == 0, args
+    written = sorted(p for p in work.rglob("*") if p.is_file() and p.name != "config.json")
+    return {p.relative_to(work).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+
+
+def test_outputs_match_recorded_digests(tmp_path):
+    assert run_pipeline(tmp_path) == EXPECTED

@@ -180,6 +180,8 @@ class TestSubsamplingStudy:
             subsampling_study(val, test, [0.5], [1e-2], seeds=[])
         with pytest.raises(ValueError):
             subsampling_study(val, test, [0.5], [1e-2], seeds=[0], threads=0)
+        with pytest.raises(ValueError, match="^fractions is empty$"):
+            subsampling_study(val, test, [], [1e-2], seeds=[0])
 
     def test_csv_schema(self, splits, tmp_path):
         val, test = splits

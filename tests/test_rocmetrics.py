@@ -104,15 +104,6 @@ class TestRocCurve:
         with pytest.raises(ValueError):
             roc_curve([0.1, 0.9], [1, 1])
 
-    def test_csv_uses_inf_literal(self, tmp_path):
-        curve = roc_curve([0.2, 0.7], [0, 1])
-        out = tmp_path / "roc.csv"
-        curve.write_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "threshold,tpr,fpr"
-        assert lines[1].startswith("inf,")
-        assert lines[-1].startswith("-inf,")
-
 
 class TestAuc:
     def test_interleaved_example(self):

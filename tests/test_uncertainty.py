@@ -160,15 +160,6 @@ class TestComputeUncertainties:
         with pytest.raises(ValueError, match="measure"):
             table.measure("total")
 
-    def test_csv_columns(self, tmp_path):
-        table = compute_uncertainties(dataset_from_scores([[0.2, 0.8]]))
-        out = tmp_path / "u.csv"
-        table.write_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "sample_id,yhat,pred_entropy,aleatoric,epistemic"
-        fields = lines[1].split(",")
-        assert fields[0] == "s0" and float(fields[1]) == 0.5
-
 
 def _empty():
     return PredictionDataset(
