@@ -43,11 +43,15 @@ def _split_or_die(ds, split: str):
     return part
 
 
-def _warn_if_unresolvable(target_fpr: float, part, split: str) -> None:
-    """Warn on stderr when not one false positive fits the budget on this split (the study's attainable rule)."""
+def _warn_if_unresolvable(target_fpr: float, part, split: str, multiplier: float | None = None) -> None:
+    """Warn on stderr when no false positive fits the budget on this split: the target, or fit's multiplier * target."""
     n_neg = len(part) - int(part.labels.sum())
-    if target_fpr < 1.0 / n_neg:
-        msg = f"target FPR {target_fpr:g} is below 1/{n_neg}, one false positive among the {n_neg} {split} negatives"
+    what, budget = f"target FPR {target_fpr:g}", target_fpr
+    if multiplier is not None:
+        budget = multiplier * target_fpr
+        what = f"fit budget {multiplier:g} x {what} = {budget:g}"
+    if budget < 1.0 / n_neg:
+        msg = f"{what} is below 1/{n_neg}, one false positive among the {n_neg} {split} negatives"
         click.echo(f"warning: {msg}; no nonzero FPR on this split fits the budget", err=True)
 
 
@@ -110,7 +114,7 @@ def cmd_fit(
     result = adjust.fit_local(
         val, target_fpr, v, seed=seed, multiplier=multiplier, sweep_tol=sweep_tol, max_sweeps=max_sweeps
     )
-    _warn_if_unresolvable(target_fpr, val, "validation")
+    _warn_if_unresolvable(target_fpr, val, "validation", multiplier)
     out = _outdir(output_dir) / f"calibration_{variant}_{target_fpr:g}.json"
     adjust.save_calibration(result, out)
     op = result.achieved_val
@@ -192,6 +196,8 @@ def cmd_study(
         val = _split_or_die(ds, "validation")
         test = _split_or_die(ds, "test")
         points = protocol.relative_error_curve(val, test, targets)
+        for t in targets:
+            _warn_if_unresolvable(t, val, "validation")
         protocol.write_protocol_csv(points, out)
     elif study_name == "subsample":
         val = _split_or_die(ds, "validation")

@@ -150,7 +150,7 @@ def _column_fault(ids, labels, splits, families, scores: np.ndarray) -> str | No
         bad = ~((scores >= 0.0) & (scores <= 1.0))
     if bad.any():
         i, j = np.unravel_index(int(np.argmax(bad)), scores.shape)
-        return f"score m{j}={scores[i, j]!r} outside [0, 1] for sample '{ids[i]}'"
+        return f"score m{j}={float(scores[i, j])!r} outside [0, 1] for sample '{ids[i]}'"
     bad = (labels == 0) & (families != None)  # noqa: E711  (elementwise)
     if bad.any():
         i = int(np.argmax(bad))
@@ -448,14 +448,15 @@ def subsample(ds: PredictionDataset, fraction: float, seed: int) -> PredictionDa
     at small fractions by design. fraction=1.0 keeps every record (the row
     order is still permuted, identically for identical seeds).
     """
+    return _take(ds, _subsample_rows(len(ds), fraction, seed))
+
+
+def _subsample_rows(n: int, fraction: float, seed: int) -> np.ndarray:
+    """The positions ``subsample`` keeps of n rows, in the order it keeps them."""
     if not (0.0 < fraction <= 1.0):
         raise ValueError(f"fraction must be in (0, 1], got {fraction!r}")
-    n = len(ds)
-    if n == 0:
-        return ds
     k = min(n, max(1, round(fraction * n)))
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return _take(ds, rng.permutation(n)[:k])
+    return np.random.Generator(np.random.Philox(key=seed)).permutation(n)[:k]
 
 
 def _take(ds: PredictionDataset, rows: np.ndarray) -> PredictionDataset:

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PredictionDataset, _field_columns, _write_csv, subsample
-from .rocmetrics import OperatingPoint, evaluate_at_threshold, select_threshold
+from .data import PredictionDataset, _field_columns, _subsample_rows, _write_csv
+from .rocmetrics import OperatingPoint, _budget_count, _select, evaluate_at_threshold, select_threshold
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,12 @@ def subsampling_study(
 
     Each cell subsamples the validation split (uniformly, so class balance
     drifts at small fractions), reselects thresholds and evaluates on the full
-    test split. A target is attainable in a cell when the selected threshold
-    is finite and the target is not below 1/n_negatives of the reduced set
-    (below that no positive false-positive count can sit inside the budget).
+    test split. The validation mean-score vector is computed once: a cell
+    indexes it with the rows ``subsample`` would keep (both draw them through
+    ``_subsample_rows``) and splits them by class once for all its targets.
+    A target is attainable in a cell when the selected threshold is finite and
+    the target is not below 1/n_negatives of the reduced set (below that no
+    positive false-positive count can sit inside the budget).
     Cells are independent; results are ordered by (fraction, seed, target) and
     do not depend on the thread count.
     """
@@ -157,17 +160,20 @@ def subsampling_study(
         raise ValueError("threads must be at least 1")
     test_scores, test_labels = _mean_scores(test)
     invalid_ops = invalid_protocol_eval(test, targets)
+    val_scores, val_labels = _mean_scores(val)
 
     def run_cell(cell: tuple[int, float, int]) -> list[StudyRow]:
         fraction_index, fraction, seed = cell
-        reduced = subsample(val, fraction, _cell_seed(seed, fraction_index))
-        scores, labels = _mean_scores(reduced)
-        n_neg = int((labels == 0).sum())
+        kept = _subsample_rows(val_scores.size, fraction, _cell_seed(seed, fraction_index))
+        scores, malicious = val_scores[kept], val_labels[kept] == 1
+        pos, neg = scores[malicious], scores[~malicious]
+        if pos.size == 0 or neg.size == 0:
+            raise ValueError("protocol evaluation needs both classes present")
         rows = []
         for t, inv in zip(targets, invalid_ops):
-            selected = select_threshold(scores, labels, t)
+            selected = _select(pos, neg, _budget_count(neg.size, t))
             op = evaluate_at_threshold(test_scores, test_labels, selected.threshold)
-            attainable = bool(np.isfinite(selected.threshold)) and t >= 1.0 / n_neg
+            attainable = bool(np.isfinite(selected.threshold)) and t >= 1.0 / neg.size
             rows.append(
                 StudyRow(
                     fraction=fraction,

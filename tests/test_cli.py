@@ -7,6 +7,7 @@ import pytest
 from lowfpr.analysis import uncertainty_by_novelty
 from lowfpr.cli import main
 from lowfpr.data import filter_split, load_dataset
+from lowfpr.protocol import relative_error_curve, write_protocol_csv
 from lowfpr.synth import SynthConfig
 
 
@@ -149,7 +150,10 @@ class TestFit:
 
 
 class TestUnresolvableTarget:
-    """fit and eval warn, on stderr only, when target * negatives < 1 on the split they use."""
+    """fit, eval and the protocol study warn, on stderr only, when budget * negatives < 1 on the split they use.
+
+    fit's budget is multiplier * target; eval's and the study's is the target.
+    """
 
     @pytest.fixture(scope="class")
     def data_path(self, tmp_path_factory):
@@ -182,6 +186,43 @@ class TestUnresolvableTarget:
             else:
                 assert captured.err == ""
         assert calibration.read_bytes() == written
+
+    @pytest.mark.parametrize("multiplier, warns", [("0.9", True), ("1.0", False)])
+    def test_fit_warns_on_the_budget_it_fits(self, data_path, tmp_path, capsys, multiplier, warns):
+        # 0.9 * 0.00052 * n_neg < 1 <= 0.00052 * n_neg: only the backed-off budget admits no false positive
+        ds = load_dataset(data_path)
+        n_neg = int(((ds.splits == "validation") & (ds.labels == 0)).sum())
+        assert 0.9 * 0.00052 * n_neg < 1 <= 0.00052 * n_neg
+        capsys.readouterr()
+        assert run_cli(["fit", "--input", str(data_path), "--output-dir", str(tmp_path),
+                        "--target-fpr", "0.00052", "--multiplier", multiplier]) == 0
+        fit = capsys.readouterr()
+        assert fit.out.startswith("fitted g @ target_fpr=0.00052: ")
+        if warns:
+            assert fit.err.count("\n") == 1
+            assert fit.err.startswith(f"warning: fit budget 0.9 x target FPR 0.00052 = {0.9 * 0.00052:g} is below ")
+            assert f"{n_neg} validation negatives" in fit.err
+        else:
+            assert fit.err == ""
+
+    def test_protocol_study_warns_per_target(self, data_path, tmp_path, capsys):
+        ds = load_dataset(data_path)
+        val, test = filter_split(ds, "validation"), filter_split(ds, "test")
+        n_neg = int((val.labels == 0).sum())
+        capsys.readouterr()
+        assert run_cli(["study", "--input", str(data_path), "--output-dir", str(tmp_path), "--study", "protocol"]) == 0
+        study = capsys.readouterr()
+        assert study.out == f"wrote {tmp_path / 'protocol.csv'}\n"
+        warned = [t for t in (1e-2, 1e-3, 1e-4, 1e-5) if t * n_neg < 1]
+        assert warned == [1e-4, 1e-5]
+        lines = study.err.splitlines()
+        assert len(lines) == len(warned)
+        for line, t in zip(lines, warned):
+            assert line.startswith(f"warning: target FPR {t:g} is below 1/{n_neg}, ")
+            assert f"{n_neg} validation negatives" in line
+        reference = tmp_path / "reference.csv"
+        write_protocol_csv(relative_error_curve(val, test, [1e-2, 1e-3, 1e-4, 1e-5]), reference)
+        assert (tmp_path / "protocol.csv").read_bytes() == reference.read_bytes()
 
 
 class TestEval:

@@ -489,7 +489,7 @@ class TestColumnRules:
         ),
         "score range": (
             ("c", 0, "train", None, (0.5, 1.5)),
-            f"score m1={np.float64(1.5)!r} outside [0, 1] for sample 'c'",
+            "score m1=1.5 outside [0, 1] for sample 'c'",
             "line 4: field m1='1.5' outside [0, 1]",
         ),
         "tagged benign": (

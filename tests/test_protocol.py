@@ -3,8 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lowfpr.data import PredictionDataset, filter_split
+from lowfpr.data import PredictionDataset, _subsample_rows, filter_split, subsample
 from lowfpr.protocol import (
+    StudyRow,
+    _cell_seed,
+    _mean_scores,
+    _rel_error,
     invalid_protocol_eval,
     min_estimable_fpr,
     relative_error_curve,
@@ -13,7 +17,7 @@ from lowfpr.protocol import (
     write_protocol_csv,
     write_study_csv,
 )
-from lowfpr.rocmetrics import select_threshold
+from lowfpr.rocmetrics import evaluate_at_threshold, select_threshold
 from lowfpr.synth import SynthConfig, default_scenario, generate
 
 
@@ -169,6 +173,38 @@ class TestSubsamplingStudy:
         serial = subsampling_study(val, test, *grid, threads=1)
         threaded = subsampling_study(val, test, *grid, threads=8)
         assert serial == threaded
+
+    def test_cells_match_public_composition(self, splits):
+        """Each cell equals subsample -> mean scores -> select_threshold -> evaluate_at_threshold."""
+        val, test = splits
+        one_row = 1e-9
+        # 1/n_neg: at fraction 1.0 the budget admits exactly one false positive, the attainable boundary
+        fractions, targets, seeds = [1.0, 0.5, 0.01], [1e-1, 1e-2, 1e-3, 1 / int((val.labels == 0).sum())], [0, 7]
+        test_scores, test_labels = _mean_scores(test)
+        invalid_ops = invalid_protocol_eval(test, targets)
+        expected = []
+        for fi, f in enumerate(fractions):
+            for s in seeds:
+                scores, labels = _mean_scores(subsample(val, f, _cell_seed(s, fi)))
+                n_neg = int((labels == 0).sum())
+                for t, inv in zip(targets, invalid_ops):
+                    selected = select_threshold(scores, labels, t)
+                    op = evaluate_at_threshold(test_scores, test_labels, selected.threshold)
+                    attainable = bool(np.isfinite(selected.threshold)) and t >= 1.0 / n_neg
+                    expected.append(StudyRow(f, s, t, op.tpr, op.fpr, inv.tpr, _rel_error(inv.tpr, op.tpr), attainable))
+        assert any(r.attainable for r in expected) and not all(r.attainable for r in expected)
+        with pytest.raises(ValueError) as public:
+            _mean_scores(subsample(val, one_row, _cell_seed(seeds[0], 1)))
+        for threads in (1, 3):
+            assert subsampling_study(val, test, fractions, targets, seeds, threads=threads) == expected
+            with pytest.raises(ValueError) as exc:
+                subsampling_study(val, test, [1.0, one_row], targets, seeds, threads=threads)
+            assert str(exc.value) == str(public.value) == "protocol evaluation needs both classes present"
+        for f in (*fractions, one_row):
+            for s in seeds:
+                kept = _subsample_rows(len(val), f, s)
+                assert list(val.sample_ids[kept]) == list(subsample(val, f, s).sample_ids)
+        assert len(subsample(val, one_row, seeds[0])) == 1
 
     def test_argument_validation(self, splits):
         val, test = splits
