@@ -38,11 +38,8 @@ from .data import (
 from .protocol import (
     ProtocolCurvePoint,
     StudyRow,
-    invalid_protocol_eval,
-    min_estimable_fpr,
     relative_error_curve,
     subsampling_study,
-    valid_protocol_eval,
 )
 from .rocmetrics import (
     OperatingPoint,

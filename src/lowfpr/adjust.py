@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data import DatasetError, PredictionDataset, _read_json
-from .rocmetrics import OperatingPoint, _budget_count, _select, combined_metric, evaluate_at_threshold
+from .rocmetrics import OperatingPoint, _budget_count, _check_target_fpr, _select, combined_metric, evaluate_at_threshold
 from .rocmetrics import select_threshold  # noqa: F401  (kept as adjust.select_threshold: perfbench's tracer test wraps it)
 from .uncertainty import compute_uncertainties
 
@@ -201,7 +201,7 @@ class CalibrationResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationResult":
-        """Rebuild a saved calibration; a malformed one raises DatasetError naming the key."""
+        """Rebuild a saved calibration; a malformed or out-of-range value raises DatasetError naming its key."""
         if not isinstance(d, dict):
             raise DatasetError(f"calibration must be a JSON object, got {type(d).__name__}")
 
@@ -218,11 +218,14 @@ class CalibrationResult:
 
         variant = field("variant", Variant)
         threshold = field("threshold")
+        multiplier = field("multiplier")
+        if multiplier <= 0.0:
+            raise DatasetError(f"calibration key 'multiplier' must be positive, got {multiplier!r}")
         return cls(
             params=field("alpha", lambda alpha: AdjustmentParams(variant, tuple(alpha))),
             global_threshold=threshold,
-            target_fpr=field("target_fpr"),
-            fit_fpr_multiplier=field("multiplier"),
+            target_fpr=field("target_fpr", lambda value: _check_target_fpr(float(value))),
+            fit_fpr_multiplier=multiplier,
             achieved_val=OperatingPoint(threshold, field("validation_tpr"), field("validation_fpr")),
             sweeps_used=field("sweeps_used", int),
             seed=field("seed", int),
@@ -279,8 +282,7 @@ def fit_local(
     less than sweep_tol.
     """
     variant = Variant(variant)
-    if not (0.0 < target_fpr < 1.0):
-        raise ValueError(f"target_fpr must be in (0, 1), got {target_fpr!r}")
+    _check_target_fpr(target_fpr)
     if not (0.0 < multiplier and multiplier * target_fpr < 1.0):
         raise ValueError(f"multiplier {multiplier!r} puts the fit budget outside (0, 1)")
     n_pos = int(val.labels.sum())

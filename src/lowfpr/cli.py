@@ -16,6 +16,7 @@ import numpy as np
 
 from . import adjust, analysis, protocol, synth
 from .data import DatasetError, _write_csv, filter_split, load_dataset, save_dataset
+from .rocmetrics import _budget_count
 from .uncertainty import compute_uncertainties
 
 DEFAULT_TARGET_GRID = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -44,13 +45,16 @@ def _split_or_die(ds, split: str):
 
 
 def _warn_if_unresolvable(target_fpr: float, part, split: str, multiplier: float | None = None) -> None:
-    """Warn on stderr when no false positive fits the budget on this split: the target, or fit's multiplier * target."""
+    """Warn on stderr when the budget (the target, or fit's multiplier * target) admits no false positive on this split.
+
+    _budget_count decides, and raises on a NaN budget, so call this after the target is validated.
+    """
     n_neg = len(part) - int(part.labels.sum())
     what, budget = f"target FPR {target_fpr:g}", target_fpr
     if multiplier is not None:
         budget = multiplier * target_fpr
         what = f"fit budget {multiplier:g} x {what} = {budget:g}"
-    if budget < 1.0 / n_neg:
+    if _budget_count(n_neg, budget) == 0:
         msg = f"{what} is below 1/{n_neg}, one false positive among the {n_neg} {split} negatives"
         click.echo(f"warning: {msg}; no nonzero FPR on this split fits the budget", err=True)
 
@@ -93,7 +97,7 @@ def cmd_validate(input_path: str, fmt: str) -> None:
 )
 @click.option("--target-fpr", type=float, required=True, help="False-positive-rate budget for the fit.")
 @click.option("--multiplier", type=float, default=0.9, show_default=True, help="Fit-time fraction of the FPR budget.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--sweep-tol", type=float, default=1e-6, show_default=True, help="Per-sweep TPR improvement cutoff.")
 @click.option("--max-sweeps", type=int, default=50, show_default=True)
 def cmd_fit(
@@ -163,7 +167,7 @@ def cmd_eval(input_path: str, fmt: str, output_dir: str, calibration_path: str, 
 )
 @click.option("--fractions", default="1,0.1,0.01", show_default=True, help="Subsample fractions, comma separated.")
 @click.option("--study-seeds", type=click.IntRange(min=1), default=20, show_default=True, help="Subsample study seeds.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Base seed for the subsample study.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Subsample study base seed.")
 @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True, help="Subsample study threads.")
 @click.option("--fpr-max", type=float, default=1e-3, show_default=True, help="Partial-AUC cut for the table1 study.")
 @click.option("--threshold", type=float, default=0.5, show_default=True, help="Decision threshold for the errors study.")
@@ -236,7 +240,7 @@ def cmd_study(
 @_format_option
 @click.option("--config", "config_path", default=None, help="Generator config JSON; defaults to the default scenario.")
 @click.option("--output", "output_path", required=True, help="Dataset file to write.")
-@click.option("--seed", type=int, default=None, help="Override the config's seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Override the config's seed.")
 def cmd_synth(fmt: str, config_path: str | None, output_path: str, seed: int | None) -> None:
     """Generate a synthetic dataset and write it to disk."""
     if config_path is None:

@@ -5,13 +5,18 @@ metrics at it: an optimistic estimate that leaks the evaluation data. The
 valid protocol picks the threshold on the validation split and carries it to
 the test split. The relative error between the two quantifies the optimism.
 
+Both are one cell, ``_carry``, run on class-split mean scores: the invalid
+protocol is the valid one with the test split on both sides.
+
 The subsampling study repeats the valid/invalid comparison with the validation
 set shrunk to a fraction of its size, showing how threshold estimates degrade,
-and at which point low FPR targets stop being estimable at all.
+and at which point low FPR targets stop being estimable at all: where the
+budget admits no false positive (``rocmetrics._budget_count`` is 0).
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import PredictionDataset, _field_columns, _subsample_rows, _write_csv
-from .rocmetrics import OperatingPoint, _budget_count, _select, evaluate_at_threshold, select_threshold
+from .rocmetrics import OperatingPoint, _budget_count, _check_target_fpr, _rates, _select
 
 
 @dataclass(frozen=True)
@@ -54,35 +59,37 @@ class StudyRow:
 def _mean_scores(ds: PredictionDataset) -> tuple[np.ndarray, np.ndarray]:
     if len(ds) == 0:
         raise ValueError("dataset is empty")
-    labels = ds.labels
-    n_pos = int(labels.sum())
-    if n_pos == 0 or n_pos == len(ds):
+    return ds.scores.mean(axis=1), ds.labels
+
+
+def _class_scores(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split scores into (malicious, benign); both classes must be present."""
+    malicious = labels == 1
+    pos, neg = scores[malicious], scores[~malicious]
+    if pos.size == 0 or neg.size == 0:
         raise ValueError("protocol evaluation needs both classes present")
-    return ds.scores.mean(axis=1), labels
+    return pos, neg
 
 
 def _check_targets(target_fprs) -> list[float]:
-    targets = [float(t) for t in target_fprs]
+    targets = [_check_target_fpr(float(t)) for t in target_fprs]
     if not targets:
         raise ValueError("target_fprs is empty")
     return targets
 
 
-def invalid_protocol_eval(test: PredictionDataset, target_fprs) -> list[OperatingPoint]:
-    """Select thresholds on the test set itself (data leakage, upper bound)."""
-    scores, labels = _mean_scores(test)
-    return [select_threshold(scores, labels, t) for t in _check_targets(target_fprs)]
+def _carry(select_on, evaluate_on, targets: list[float]) -> list[tuple[OperatingPoint, bool]]:
+    """Per target, pick the threshold on one class-split pair and read the other pair's rates at it.
 
-
-def valid_protocol_eval(val: PredictionDataset, test: PredictionDataset, target_fprs) -> list[OperatingPoint]:
-    """Select thresholds on validation, report test rates at those thresholds."""
-    val_scores, val_labels = _mean_scores(val)
-    test_scores, test_labels = _mean_scores(test)
+    Returns the rates on ``evaluate_on`` and whether the target is attainable on
+    ``select_on``: its budget admits a false positive and the threshold is finite.
+    """
+    pos, neg = select_on
     out = []
-    for t in _check_targets(target_fprs):
-        selected = select_threshold(val_scores, val_labels, t)
-        op = evaluate_at_threshold(test_scores, test_labels, selected.threshold)
-        out.append(op)
+    for t in targets:
+        k = _budget_count(neg.size, t)
+        threshold = _select(pos, neg, k).threshold
+        out.append((_rates(*evaluate_on, threshold), k > 0 and math.isfinite(threshold)))
     return out
 
 
@@ -93,29 +100,16 @@ def _rel_error(invalid_tpr: float, valid_tpr: float) -> float | None:
 
 
 def relative_error_curve(val: PredictionDataset, test: PredictionDataset, target_fprs) -> list[ProtocolCurvePoint]:
-    """Pair the two protocols per target FPR and compute their relative error."""
+    """Select thresholds on validation and on test itself; report test rates at each and their relative error."""
     targets = _check_targets(target_fprs)
-    valid_ops = valid_protocol_eval(val, test, targets)
-    invalid_ops = invalid_protocol_eval(test, targets)
+    val_classes = _class_scores(*_mean_scores(val))
+    test_classes = _class_scores(*_mean_scores(test))
+    valid = _carry(val_classes, test_classes, targets)
+    invalid = _carry(test_classes, test_classes, targets)
     return [
-        ProtocolCurvePoint(
-            target_fpr=t,
-            valid_tpr=v.tpr,
-            valid_actualized_fpr=v.fpr,
-            invalid_tpr=inv.tpr,
-            rel_error=_rel_error(inv.tpr, v.tpr),
-        )
-        for t, v, inv in zip(targets, valid_ops, invalid_ops)
+        ProtocolCurvePoint(t, v.tpr, v.fpr, inv.tpr, _rel_error(inv.tpr, v.tpr))
+        for t, (v, _), (inv, _) in zip(targets, valid, invalid)
     ]
-
-
-def min_estimable_fpr(n_negatives: int, min_fp_count: int = 100) -> float:
-    """Smallest FPR measurable with at least min_fp_count false positives."""
-    if n_negatives < 1:
-        raise ValueError("n_negatives must be at least 1")
-    if min_fp_count < 1:
-        raise ValueError("min_fp_count must be at least 1")
-    return min_fp_count / n_negatives
 
 
 def _cell_seed(seed: int, fraction_index: int) -> int:
@@ -139,10 +133,11 @@ def subsampling_study(
     drifts at small fractions), reselects thresholds and evaluates on the full
     test split. The validation mean-score vector is computed once: a cell
     indexes it with the rows ``subsample`` would keep (both draw them through
-    ``_subsample_rows``) and splits them by class once for all its targets.
-    A target is attainable in a cell when the selected threshold is finite and
-    the target is not below 1/n_negatives of the reduced set (below that no
-    positive false-positive count can sit inside the budget).
+    ``_subsample_rows``), splits them by class and runs ``_carry``, the cell
+    ``relative_error_curve`` runs on the whole split. A target is attainable in
+    a cell when its budget admits a false positive among the reduced set's
+    negatives (``_budget_count`` is not 0, i.e. target >= 1/n_negatives) and
+    the selected threshold is finite.
     Cells are independent; results are ordered by (fraction, seed, target) and
     do not depend on the thread count.
     """
@@ -158,35 +153,18 @@ def subsampling_study(
         raise ValueError("seeds is empty")
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    test_scores, test_labels = _mean_scores(test)
-    invalid_ops = invalid_protocol_eval(test, targets)
+    test_classes = _class_scores(*_mean_scores(test))
+    invalid = [op for op, _ in _carry(test_classes, test_classes, targets)]
     val_scores, val_labels = _mean_scores(val)
 
     def run_cell(cell: tuple[int, float, int]) -> list[StudyRow]:
         fraction_index, fraction, seed = cell
         kept = _subsample_rows(val_scores.size, fraction, _cell_seed(seed, fraction_index))
-        scores, malicious = val_scores[kept], val_labels[kept] == 1
-        pos, neg = scores[malicious], scores[~malicious]
-        if pos.size == 0 or neg.size == 0:
-            raise ValueError("protocol evaluation needs both classes present")
-        rows = []
-        for t, inv in zip(targets, invalid_ops):
-            selected = _select(pos, neg, _budget_count(neg.size, t))
-            op = evaluate_at_threshold(test_scores, test_labels, selected.threshold)
-            attainable = bool(np.isfinite(selected.threshold)) and t >= 1.0 / neg.size
-            rows.append(
-                StudyRow(
-                    fraction=fraction,
-                    seed=seed,
-                    target_fpr=t,
-                    valid_tpr=op.tpr,
-                    valid_fpr=op.fpr,
-                    invalid_tpr=inv.tpr,
-                    rel_error=_rel_error(inv.tpr, op.tpr),
-                    attainable=attainable,
-                )
-            )
-        return rows
+        valid = _carry(_class_scores(val_scores[kept], val_labels[kept]), test_classes, targets)
+        return [
+            StudyRow(fraction, seed, t, op.tpr, op.fpr, inv.tpr, _rel_error(inv.tpr, op.tpr), attainable)
+            for t, (op, attainable), inv in zip(targets, valid, invalid)
+        ]
 
     cells = [(fi, f, s) for fi, f in enumerate(fractions) for s in seeds]
     if threads == 1:

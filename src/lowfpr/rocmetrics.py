@@ -103,8 +103,18 @@ def partial_auc(curve: RocCurve, fpr_max: float) -> float:
     return float(np.trapezoid(tt, ff))
 
 
+def _check_target_fpr(target_fpr: float) -> float:
+    """The one range check on an FPR budget: it must lie in (0, 1), which also rejects NaN."""
+    if not (0.0 < target_fpr < 1.0):
+        raise ValueError(f"target_fpr must be in (0, 1), got {target_fpr!r}")
+    return target_fpr
+
+
 def _budget_count(n_neg: int, target_fpr: float) -> int:
-    """Largest k <= n_neg with k / n_neg <= target_fpr, in the float arithmetic of the FPR."""
+    """Largest k <= n_neg with k / n_neg <= target_fpr, in the float arithmetic of the FPR.
+
+    The one FPR-budget rule: 0 exactly when the budget admits no false positive, target_fpr < 1 / n_neg.
+    """
     k = min(int(target_fpr * n_neg), n_neg)
     while k < n_neg and (k + 1) / n_neg <= target_fpr:
         k += 1
@@ -121,10 +131,14 @@ def _select(pos: np.ndarray, neg: np.ndarray, k: int) -> OperatingPoint:
     # A threshold admits at most k negatives iff it lies above v, the (k+1)-th largest.
     v = -np.inf if k == n_neg else np.partition(neg, n_neg - k - 1)[n_neg - k - 1]
     above = pos[pos > v]
-    if above.size == 0:
-        return OperatingPoint(np.inf, 0.0, 0.0)
-    thr = float(above.min())
-    return OperatingPoint(thr, above.size / pos.size, int(np.count_nonzero(neg >= thr)) / n_neg)
+    return _rates(pos, neg, float(above.min()) if above.size else np.inf)
+
+
+def _rates(pos: np.ndarray, neg: np.ndarray, threshold: float) -> OperatingPoint:
+    """TPR and FPR of ``score >= threshold`` on class-split scores; an empty class has rate 0.0."""
+    tpr = int(np.count_nonzero(pos >= threshold)) / pos.size if pos.size else 0.0
+    fpr = int(np.count_nonzero(neg >= threshold)) / neg.size if neg.size else 0.0
+    return OperatingPoint(float(threshold), tpr, fpr)
 
 
 def select_threshold(scores, labels, target_fpr: float) -> OperatingPoint:
@@ -134,8 +148,7 @@ def select_threshold(scores, labels, target_fpr: float) -> OperatingPoint:
     the larger (more conservative) threshold. When no candidate with positive
     TPR fits the budget the +inf sentinel (TPR 0, FPR 0) is returned.
     """
-    if not (0.0 < target_fpr < 1.0):
-        raise ValueError(f"target_fpr must be in (0, 1), got {target_fpr!r}")
+    _check_target_fpr(target_fpr)
     s, y = _score_label_arrays(scores, labels)
     neg = s[y == 0]
     if neg.size == 0:
@@ -149,24 +162,18 @@ def evaluate_at_threshold(scores, labels, threshold: float) -> OperatingPoint:
     A class with no samples contributes a rate of 0.0.
     """
     s, y = _score_label_arrays(scores, labels)
-    positive = s >= threshold
-    n_pos = int(y.sum())
-    n_neg = int(y.size - n_pos)
-    tp = int(np.count_nonzero(positive & (y == 1)))
-    fp = int(np.count_nonzero(positive & (y == 0)))
-    tpr = tp / n_pos if n_pos else 0.0
-    fpr = fp / n_neg if n_neg else 0.0
-    return OperatingPoint(float(threshold), tpr, fpr)
+    malicious = y == 1
+    return _rates(s[malicious], s[~malicious], threshold)
 
 
 def combined_metric(tpr: float, actualized_fpr: float, target_fpr: float) -> float:
     """TPR penalized by relative FPR overshoot.
 
     C = TPR - max(actualized_fpr - target_fpr, 0) / target_fpr. Equal to TPR
-    when the budget is met; decreases without bound as FPR overshoots.
+    when the budget is met; decreases without bound as FPR overshoots. The
+    target must lie in (0, 1).
     """
-    if target_fpr <= 0.0:
-        raise ValueError(f"target_fpr must be positive, got {target_fpr!r}")
+    _check_target_fpr(target_fpr)
     return float(tpr - max(actualized_fpr - target_fpr, 0.0) / target_fpr)
 
 

@@ -77,6 +77,8 @@ class SynthConfig:
             raise ValueError("split_fractions must be three nonnegative numbers")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ValueError(f"split_fractions must sum to 1, got {sum(self.split_fractions)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lowfpr.analysis import uncertainty_by_novelty
@@ -96,6 +97,12 @@ class TestSynth:
         config_path.write_text(json.dumps({"logit_sd": -1.0}))
         assert run_cli(["synth", "--config", str(config_path), "--output", str(tmp_path / "x.csv")]) == 3
 
+    def test_negative_config_seed_exits_3(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(small_config(seed=-2)))
+        assert run_cli(["synth", "--config", str(config_path), "--output", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -2\n"
+
     @pytest.mark.parametrize(
         "content", [None, b'{"seed": ', b"\xff\xfe", b"[1, 2]"], ids=["missing", "not-json", "not-text", "not-object"]
     )
@@ -150,7 +157,7 @@ class TestFit:
 
 
 class TestUnresolvableTarget:
-    """fit, eval and the protocol study warn, on stderr only, when budget * negatives < 1 on the split they use.
+    """fit, eval and the protocol study warn, on stderr only, when the budget admits no false positive on their split.
 
     fit's budget is multiplier * target; eval's and the study's is the target.
     """
@@ -213,7 +220,7 @@ class TestUnresolvableTarget:
         assert run_cli(["study", "--input", str(data_path), "--output-dir", str(tmp_path), "--study", "protocol"]) == 0
         study = capsys.readouterr()
         assert study.out == f"wrote {tmp_path / 'protocol.csv'}\n"
-        warned = [t for t in (1e-2, 1e-3, 1e-4, 1e-5) if t * n_neg < 1]
+        warned = [t for t in (1e-2, 1e-3, 1e-4, 1e-5) if t < 1 / n_neg]
         assert warned == [1e-4, 1e-5]
         lines = study.err.splitlines()
         assert len(lines) == len(warned)
@@ -223,6 +230,59 @@ class TestUnresolvableTarget:
         reference = tmp_path / "reference.csv"
         write_protocol_csv(relative_error_curve(val, test, [1e-2, 1e-3, 1e-4, 1e-5]), reference)
         assert (tmp_path / "protocol.csv").read_bytes() == reference.read_bytes()
+
+
+class TestBudgetBoundary:
+    """Every command's FPR-budget test switches between target = 1/n_neg and the float just below it.
+
+    Validation and test each hold 49 negatives, below every positive; (1/49) * 49 rounds below 1, so a
+    product-form test (target * n_neg < 1) would also flag 1/49, which admits exactly one false positive.
+    """
+
+    n_neg = 49
+    resolvable = 1 / 49
+    unresolvable = float(np.nextafter(1 / 49, 0.0))
+
+    @pytest.fixture(scope="class")
+    def data_path(self, tmp_path_factory):
+        rows = ["sample_id,label,split,family,m0,m1"]
+        for split in ("validation", "test"):
+            for i in range(self.n_neg):
+                rows.append(f"{split}-b{i},0,{split},,{0.01 * (i + 1)!r},{0.01 * (i + 1) + 0.005!r}")
+            for i in range(10):
+                rows.append(f"{split}-m{i},1,{split},,0.9,{0.9 + 0.005 * i!r}")
+        path = tmp_path_factory.mktemp("boundary") / "data.csv"
+        path.write_text("\n".join(rows) + "\n")
+        return path
+
+    def run(self, args, capsys):
+        capsys.readouterr()
+        assert run_cli(args) == 0
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["resolvable", "unresolvable"])
+    def test_warnings_and_attainable_switch_together(self, data_path, tmp_path, capsys, which):
+        assert (1 / 49) * 49 < 1 and self.unresolvable < self.resolvable
+        target = getattr(self, which)
+        t = repr(target)
+        io = ["--input", str(data_path), "--output-dir", str(tmp_path)]
+        errs = {
+            "fit": self.run(["fit", *io, "--target-fpr", t, "--multiplier", "1"], capsys),
+            "eval": self.run(["eval", *io, "--calibration", str(tmp_path / f"calibration_g_{target:g}.json")], capsys),
+            "protocol": self.run(["study", *io, "--study", "protocol", "--target-fpr", t], capsys),
+        }
+        assert self.run(["study", *io, "--study", "subsample", "--fractions", "1", "--study-seeds", "1",
+                         "--target-fpr", t], capsys) == ""
+        rows = (tmp_path / "subsample.csv").read_text().splitlines()
+        assert len(rows) == 2
+        assert rows[1].endswith(",true" if which == "resolvable" else ",false")
+        for command, err in errs.items():
+            if which == "resolvable":
+                assert err == "", command
+            else:
+                split = "test" if command == "eval" else "validation"
+                assert err.count("\n") == 1 and err.startswith("warning: "), command
+                assert f" is below 1/{self.n_neg}, one false positive among the {self.n_neg} {split} negatives" in err
 
 
 class TestEval:
@@ -268,8 +328,13 @@ class TestEval:
             (lambda d: {k: v for k, v in d.items() if k != "member_count"}, "'member_count'"),
             (lambda d: dict(d, multiplier="high"), "'multiplier'"),
             (lambda d: dict(d, threshold="nan"), "'threshold'"),
+            (lambda d: dict(d, target_fpr=1.5), "'target_fpr': target_fpr must be in (0, 1), got 1.5"),
+            (lambda d: dict(d, target_fpr=0), "'target_fpr': target_fpr must be in (0, 1), got 0.0"),
+            (lambda d: dict(d, multiplier=0), "'multiplier' must be positive, got 0.0"),
+            (lambda d: dict(d, multiplier=-0.9), "'multiplier' must be positive, got -0.9"),
         ],
-        ids=["not-an-object", "missing-key", "non-numeric", "nan-threshold"],
+        ids=["not-an-object", "missing-key", "non-numeric", "nan-threshold", "target-above-one", "target-zero",
+             "multiplier-zero", "multiplier-negative"],
     )
     def test_malformed_calibration_exits_2(self, dataset_csv, tmp_path, capsys, edit, key):
         outdir = tmp_path / "out"
@@ -295,6 +360,18 @@ class TestEval:
                         "--calibration", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1
+        assert not (outdir / "evaluation.csv").exists()
+
+    @pytest.mark.parametrize("target", ["nan", "2", "1", "0", "-0.01", "inf"])
+    def test_target_override_outside_unit_interval_exits_3(self, dataset_csv, tmp_path, capsys, target):
+        outdir = tmp_path / "out"
+        assert run_cli(["fit", "--input", str(dataset_csv), "--output-dir", str(outdir),
+                        "--variant", "g", "--target-fpr", "0.01"]) == 0
+        capsys.readouterr()
+        assert run_cli(["eval", "--input", str(dataset_csv), "--output-dir", str(outdir),
+                        "--calibration", str(outdir / "calibration_g_0.01.json"), "--target-fpr", target]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: target_fpr must be in (0, 1), got {float(target)!r}\n"
         assert not (outdir / "evaluation.csv").exists()
 
     def test_infinite_threshold_still_loads(self, dataset_csv, tmp_path):
@@ -353,6 +430,26 @@ class TestStudy:
         err = capsys.readouterr().err
         assert f"Invalid value for '{option}': 0 is not in the range x>=1." in err
         assert not (tmp_path / "subsample.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args, value",
+        [
+            (["fit", "--variant", "g", "--target-fpr", "0.01"], "-1"),
+            (["fit", "--variant", "g+l", "--target-fpr", "0.01"], "-1"),
+            (["study", "--study", "subsample"], "-3"),
+            (["synth"], "-2"),
+        ],
+        ids=["fit-g", "fit-g+l", "study-subsample", "synth"],
+    )
+    def test_negative_seed_is_usage_error(self, dataset_csv, tmp_path, capsys, args, value):
+        if args[0] == "synth":
+            io = ["--output", str(tmp_path / "x.csv")]
+        else:
+            io = ["--input", str(dataset_csv), "--output-dir", str(tmp_path)]
+        assert run_cli(args + io + ["--seed", value]) == 1
+        err = capsys.readouterr().err
+        assert f"Invalid value for '--seed': {value} is not in the range x>=0." in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["config.json", "data.csv"])
 
     def test_table1_compares_models(self, dataset_csv, tmp_path):
         outdir = tmp_path / "out"

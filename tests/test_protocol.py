@@ -1,19 +1,19 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from lowfpr.data import PredictionDataset, _subsample_rows, filter_split, subsample
 from lowfpr.protocol import (
+    ProtocolCurvePoint,
     StudyRow,
     _cell_seed,
+    _class_scores,
     _mean_scores,
     _rel_error,
-    invalid_protocol_eval,
-    min_estimable_fpr,
     relative_error_curve,
     subsampling_study,
-    valid_protocol_eval,
     write_protocol_csv,
     write_study_csv,
 )
@@ -28,37 +28,68 @@ def splits():
     return filter_split(data, "validation"), filter_split(data, "test")
 
 
+def _tiny(scores, labels, split="test"):
+    n = len(scores)
+    return PredictionDataset(
+        sample_ids=np.array([f"s{i}" for i in range(n)], dtype=object),
+        labels=np.array(labels, dtype=np.int64),
+        splits=np.array([split] * n, dtype=object),
+        families=np.full(n, None, dtype=object),
+        scores=np.array(scores, dtype=np.float64).reshape(n, 1),
+    )
+
+
 class TestProtocolEvals:
+    """relative_error_curve against the public pieces: select on validation, evaluate on test; invalid selects on test."""
+
     def test_invalid_is_threshold_selection_on_test(self, splits):
-        _, test = splits
+        val, test = splits
         targets = [1e-1, 1e-2]
-        ops = invalid_protocol_eval(test, targets)
         means = test.scores.mean(axis=1)
-        for t, op in zip(targets, ops):
-            assert op == select_threshold(means, test.labels, t)
-            assert op.fpr <= t
+        for t, point in zip(targets, relative_error_curve(val, test, targets)):
+            selected = select_threshold(means, test.labels, t)
+            assert point.invalid_tpr == selected.tpr
+            assert selected.fpr <= t
 
     def test_valid_equals_invalid_when_same_split(self, splits):
         _, test = splits
         targets = [1e-1, 1e-2, 1e-3]
-        assert valid_protocol_eval(test, test, targets) == invalid_protocol_eval(test, targets)
+        means = test.scores.mean(axis=1)
+        for t, point in zip(targets, relative_error_curve(test, test, targets)):
+            selected = select_threshold(means, test.labels, t)
+            assert (point.valid_tpr, point.valid_actualized_fpr) == (selected.tpr, selected.fpr)
+            assert point.invalid_tpr == point.valid_tpr
+            assert point.rel_error == 0.0
 
     def test_valid_carries_threshold_not_rates(self, splits):
         val, test = splits
-        ops = valid_protocol_eval(val, test, [1e-2])
-        selected = select_threshold(val.scores.mean(axis=1), val.labels, 1e-2)
-        assert ops[0].threshold == selected.threshold
-        # test-split FPR is whatever the carried threshold actualizes; it is
-        # not constrained to sit inside the target budget
-        assert ops[0].tpr >= 0.0
+        n_neg = int((val.labels == 0).sum())
+        # 1/n_neg admits one validation false positive, its lower neighbour none
+        targets = [1e-1, 1e-2, 1e-3, 1 / n_neg, float(np.nextafter(1 / n_neg, 0.0)), 1e-5]
+        val_means, test_means = val.scores.mean(axis=1), test.scores.mean(axis=1)
+        for t, point in zip(targets, relative_error_curve(val, test, targets)):
+            selected = select_threshold(val_means, val.labels, t)
+            # test-split FPR is whatever the carried threshold actualizes; it is
+            # not constrained to sit inside the target budget
+            op = evaluate_at_threshold(test_means, test.labels, selected.threshold)
+            invalid = select_threshold(test_means, test.labels, t)
+            assert point == ProtocolCurvePoint(t, op.tpr, op.fpr, invalid.tpr, _rel_error(invalid.tpr, op.tpr))
 
     def test_rejects_empty_or_single_class(self, splits):
         val, test = splits
-        with pytest.raises(ValueError):
-            invalid_protocol_eval(test, [])
-        one_class = filter_split(test, "train")  # empty under this scenario
-        with pytest.raises(ValueError):
-            invalid_protocol_eval(one_class, [1e-2])
+        with pytest.raises(ValueError, match="^target_fprs is empty$"):
+            relative_error_curve(val, test, [])
+        empty = filter_split(test, "train")  # empty under this scenario
+        for a, b in ((empty, test), (val, empty)):
+            with pytest.raises(ValueError, match="^dataset is empty$"):
+                relative_error_curve(a, b, [1e-2])
+        one_class = _tiny([0.2, 0.3], [0, 0])
+        for a, b in ((one_class, test), (val, one_class)):
+            with pytest.raises(ValueError, match="^protocol evaluation needs both classes present$"):
+                relative_error_curve(a, b, [1e-2])
+        for bad in (0.0, 1.0, 1.5, -1e-3, float("nan")):
+            with pytest.raises(ValueError, match=re.escape(f"target_fpr must be in (0, 1), got {bad!r}")):
+                relative_error_curve(val, test, [1e-2, bad])
 
 
 class TestRelativeErrorCurve:
@@ -86,18 +117,8 @@ class TestRelativeErrorCurve:
     def test_zero_valid_tpr_gives_none(self):
         # every validation positive scores below every negative, so the only
         # feasible threshold is the sentinel and the carried TPR is zero
-        def tiny(scores, labels):
-            n = len(scores)
-            return PredictionDataset(
-                sample_ids=np.array([f"s{i}" for i in range(n)], dtype=object),
-                labels=np.array(labels, dtype=np.int64),
-                splits=np.array(["test"] * n, dtype=object),
-                families=np.full(n, None, dtype=object),
-                scores=np.array(scores, dtype=np.float64).reshape(n, 1),
-            )
-
-        val = tiny([0.9, 0.8, 0.1, 0.2], [0, 0, 1, 1])
-        test = tiny([0.5, 0.6, 0.7, 0.4], [0, 1, 1, 0])
+        val = _tiny([0.9, 0.8, 0.1, 0.2], [0, 0, 1, 1])
+        test = _tiny([0.5, 0.6, 0.7, 0.4], [0, 1, 1, 0])
         point = relative_error_curve(val, test, [0.25])[0]
         assert point.valid_tpr == 0.0
         assert point.rel_error is None
@@ -119,19 +140,6 @@ class TestRelativeErrorCurve:
         assert len(lines) == 3
         first = lines[1].split(",")
         assert float(first[0]) == 1e-2
-
-
-class TestMinEstimableFpr:
-    def test_reference_points(self):
-        assert min_estimable_fpr(10_000_000) == 1e-5
-        assert min_estimable_fpr(100_000) == 1e-3
-        assert min_estimable_fpr(100_000, min_fp_count=10) == 1e-4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            min_estimable_fpr(0)
-        with pytest.raises(ValueError):
-            min_estimable_fpr(100, min_fp_count=0)
 
 
 class TestSubsamplingStudy:
@@ -181,7 +189,7 @@ class TestSubsamplingStudy:
         # 1/n_neg: at fraction 1.0 the budget admits exactly one false positive, the attainable boundary
         fractions, targets, seeds = [1.0, 0.5, 0.01], [1e-1, 1e-2, 1e-3, 1 / int((val.labels == 0).sum())], [0, 7]
         test_scores, test_labels = _mean_scores(test)
-        invalid_ops = invalid_protocol_eval(test, targets)
+        invalid_ops = [select_threshold(test_scores, test_labels, t) for t in targets]
         expected = []
         for fi, f in enumerate(fractions):
             for s in seeds:
@@ -194,7 +202,7 @@ class TestSubsamplingStudy:
                     expected.append(StudyRow(f, s, t, op.tpr, op.fpr, inv.tpr, _rel_error(inv.tpr, op.tpr), attainable))
         assert any(r.attainable for r in expected) and not all(r.attainable for r in expected)
         with pytest.raises(ValueError) as public:
-            _mean_scores(subsample(val, one_row, _cell_seed(seeds[0], 1)))
+            _class_scores(*_mean_scores(subsample(val, one_row, _cell_seed(seeds[0], 1))))
         for threads in (1, 3):
             assert subsampling_study(val, test, fractions, targets, seeds, threads=threads) == expected
             with pytest.raises(ValueError) as exc:
@@ -218,6 +226,8 @@ class TestSubsamplingStudy:
             subsampling_study(val, test, [0.5], [1e-2], seeds=[0], threads=0)
         with pytest.raises(ValueError, match="^fractions is empty$"):
             subsampling_study(val, test, [], [1e-2], seeds=[0])
+        with pytest.raises(ValueError, match=re.escape("target_fpr must be in (0, 1), got 1.0")):
+            subsampling_study(val, test, [0.5], [1e-2, 1.0], seeds=[0])
 
     def test_csv_schema(self, splits, tmp_path):
         val, test = splits

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from lowfpr.rocmetrics import (
     OperatingPoint,
+    _budget_count,
     _select,
     accuracy,
     auc,
@@ -157,6 +159,22 @@ class TestPartialAuc:
                 partial_auc(curve, bad)
 
 
+class TestBudgetCount:
+    def test_zero_exactly_below_one_over_n(self):
+        # the one FPR-budget rule: no false positive fits exactly when target < 1/n,
+        # checked at 1/n, one ulp below and one ulp above, for every n up to 2,000
+        for n in range(1, 2001):
+            exact = 1 / n
+            for t in (exact, float(np.nextafter(exact, 0.0)), float(np.nextafter(exact, 1.0))):
+                assert (_budget_count(n, t) == 0) == (t < 1 / n), (n, t)
+            assert _budget_count(n, exact) == 1 and _budget_count(n, float(np.nextafter(exact, 0.0))) == 0
+
+    def test_product_form_disagrees_at_one_over_n(self):
+        # target * n < 1 is not the same test: (1/49) * 49 rounds below 1, yet 1/49 admits one false positive
+        assert (1 / 49) * 49 < 1
+        assert _budget_count(49, 1 / 49) == 1
+
+
 class TestSelectThreshold:
     def test_worked_example(self):
         scores = [0.1, 0.2, 0.3, 0.9, 0.15, 0.8, 0.85, 0.95]
@@ -272,6 +290,11 @@ class TestCombinedMetric:
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
             combined_metric(0.5, 0.1, 0.0)
+
+    def test_rejects_target_outside_unit_interval(self):
+        for bad in (1.0, 2.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=re.escape(f"target_fpr must be in (0, 1), got {bad!r}")):
+                combined_metric(0.5, 0.1, bad)
 
 
 class TestAccuracy:

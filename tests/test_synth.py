@@ -43,6 +43,8 @@ class TestSynthConfig:
             SynthConfig(split_fractions=(0.5, 0.5, 0.5))
         with pytest.raises(ValueError):
             SynthConfig(split_fractions=(0.5, 0.6, -0.1))
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            SynthConfig(seed=-1)
 
     def test_dict_round_trip(self):
         config = heteroscedastic_scenario(seed=3)
