@@ -290,6 +290,8 @@ def fit_local(
         raise ValueError("fitting needs at least one positive and one negative validation sample")
     if max_sweeps < 0:
         raise ValueError("max_sweeps must be nonnegative")
+    if math.isnan(sweep_tol):
+        raise ValueError(f"sweep_tol must not be NaN, got {sweep_tol!r}")
     table = compute_uncertainties(val)
     is_pos = val.labels == 1
     # _apply is elementwise, so rescoring each class alone equals rescoring all.

@@ -83,8 +83,10 @@ class GroupSplit:
 def uncertainty_by_correctness(ds: PredictionDataset, threshold: float, measure: str = "epistemic") -> GroupSplit:
     """Split one uncertainty measure by whether ``yhat >= threshold`` is correct.
 
-    An empty group is not an error; check has_empty_group on the result.
+    An empty group is not an error (check has_empty_group); a NaN threshold raises.
     """
+    if math.isnan(threshold):
+        raise ValueError(f"threshold must not be NaN, got {threshold!r}")
     table = compute_uncertainties(ds)
     values = table.measure(measure)
     predicted = (table.yhat >= threshold).astype(np.int64)

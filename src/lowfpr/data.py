@@ -20,7 +20,9 @@ When a check fails, or a CSV holds anything that ``np.loadtxt`` might read
 differently from ``csv.reader`` and ``float()`` (a quote, a carriage return
 outside ``\r\n``, one of the separators ``\x1c``-``\x1f``, an overlong
 line), the file is read again row by row. That row path is the only place a
-load raises DatasetError, so every message names its line and field.
+load raises DatasetError, so every message names its line and field. Each
+format's reader only splits its lines into records; one row checker,
+``_from_records``, applies the schema's rules to the records of both formats.
 
 Datasets are immutable; all column arrays are read-only so downstream code can
 share them without copying. ``PredictionDataset(...)`` validates and copies
@@ -181,18 +183,6 @@ def _check_format(fmt: str) -> str:
     return fmt
 
 
-def _parse_label(raw: str, where: str) -> int:
-    if raw not in ("0", "1"):
-        raise DatasetError(f"{where}: label must be 0 or 1, got {raw!r}")
-    return int(raw)
-
-
-def _parse_split(raw: str, where: str) -> str:
-    if raw not in SPLIT_NAMES:
-        raise DatasetError(f"{where}: unknown split {raw!r}")
-    return raw
-
-
 def _parse_score(raw: object, field: str, where: str) -> float:
     try:
         value = float(raw)  # type: ignore[arg-type]
@@ -296,46 +286,21 @@ def _csv_rows(path: Path) -> PredictionDataset:
         for k, name in enumerate(member_names):
             if name != f"m{k}":
                 raise DatasetError(f"{path}: header column {k + len(_FIXED_COLUMNS)} must be 'm{k}', got '{name}'")
-        t = len(member_names)
-        ids: list[str] = []
-        labels: list[int] = []
-        splits: list[str] = []
-        families: list[str | None] = []
-        rows: list[list[float]] = []
-        seen: dict[str, int] = {}
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}: line {lineno}"
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DatasetError(f"{where}: expected {len(header)} fields, got {len(row)}")
-            sample_id = row[0]
-            if sample_id in seen:
-                raise DatasetError(f"{where}: duplicate sample_id '{sample_id}' (first seen on line {seen[sample_id]})")
-            seen[sample_id] = lineno
-            label = _parse_label(row[1], where)
-            split = _parse_split(row[2], where)
-            family = row[3] if row[3] != "" else None
-            if label == 0 and family is not None:
-                raise DatasetError(f"{where}: benign sample '{sample_id}' carries family tag '{family}'")
-            ids.append(sample_id)
-            labels.append(label)
-            splits.append(split)
-            families.append(family)
-            rows.append([_parse_score(raw, f"m{k}", where) for k, raw in enumerate(row[4:])])
-    return _from_rows(ids, labels, splits, families, rows, t, path)
+
+        def records():
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DatasetError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
+                yield lineno, row[0], row[1], row[2], row[3] or None, row[4:]
+
+        return _from_records(path, records(), "m{}", len(member_names))
 
 
 def _jsonl_rows(path: Path) -> PredictionDataset:
-    ids: list[str] = []
-    labels: list[int] = []
-    splits: list[str] = []
-    families: list[str | None] = []
-    rows: list[list[float]] = []
-    seen: dict[str, int] = {}
-    t: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    def records(lines):
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             where = f"{path}: line {lineno}"
@@ -348,39 +313,48 @@ def _jsonl_rows(path: Path) -> PredictionDataset:
             for key in ("id", "label", "split", "family", "scores"):
                 if key not in obj:
                     raise DatasetError(f"{where}: missing key '{key}'")
-            sample_id = str(obj["id"])
-            if sample_id in seen:
-                raise DatasetError(f"{where}: duplicate sample_id '{sample_id}' (first seen on line {seen[sample_id]})")
-            seen[sample_id] = lineno
-            label = _parse_label(str(obj["label"]), where)
-            split = _parse_split(str(obj["split"]), where)
-            family = obj["family"]
-            if family is not None:
-                family = str(family)
-            if label == 0 and family is not None:
-                raise DatasetError(f"{where}: benign sample '{sample_id}' carries family tag '{family}'")
-            raw_scores = obj["scores"]
-            if not isinstance(raw_scores, list):
-                raise DatasetError(f"{where}: field scores must be an array")
-            if t is None:
-                t = len(raw_scores)
-                if t < 1:
-                    raise DatasetError(f"{where}: field scores is empty")
-            elif len(raw_scores) != t:
-                raise DatasetError(
-                    f"inconsistent member count for sample '{sample_id}': expected {t}, got {len(raw_scores)}"
-                )
-            ids.append(sample_id)
-            labels.append(label)
-            splits.append(split)
-            families.append(family)
-            rows.append([_parse_score(raw, f"scores[{k}]", where) for k, raw in enumerate(raw_scores)])
+            family = None if obj["family"] is None else str(obj["family"])
+            yield lineno, str(obj["id"]), str(obj["label"]), str(obj["split"]), family, obj["scores"]
+
+    with open(path, encoding="utf-8") as fh:
+        return _from_records(path, records(fh), "scores[{}]", None)
+
+
+def _from_records(path: Path, records, field_name: str, member_count: int | None) -> PredictionDataset:
+    """Check row records against the schema, the first broken rule raising DatasetError naming its line.
+
+    Each record is ``(lineno, sample_id, label_text, split, family, raw_scores)``
+    with text fields and ``None`` for an untagged family. ``field_name`` formats
+    score k's name in messages. A ``member_count`` of None is taken from the
+    first record, and a file with no record cannot give one.
+    """
+    kept: list[tuple] = []
+    seen: dict[str, int] = {}
+    t = member_count
+    for lineno, sample_id, label, split, family, raw_scores in records:
+        where = f"{path}: line {lineno}"
+        if sample_id in seen:
+            raise DatasetError(f"{where}: duplicate sample_id '{sample_id}' (first seen on line {seen[sample_id]})")
+        seen[sample_id] = lineno
+        if label not in ("0", "1"):
+            raise DatasetError(f"{where}: label must be 0 or 1, got {label!r}")
+        if split not in SPLIT_NAMES:
+            raise DatasetError(f"{where}: unknown split {split!r}")
+        if label == "0" and family is not None:
+            raise DatasetError(f"{where}: benign sample '{sample_id}' carries family tag '{family}'")
+        if not isinstance(raw_scores, list):
+            raise DatasetError(f"{where}: field scores must be an array")
+        if t is None:
+            t = len(raw_scores)
+            if t < 1:
+                raise DatasetError(f"{where}: field scores is empty")
+        elif len(raw_scores) != t:
+            raise DatasetError(f"inconsistent member count for sample '{sample_id}': expected {t}, got {len(raw_scores)}")
+        row = [_parse_score(raw, field_name.format(k), where) for k, raw in enumerate(raw_scores)]
+        kept.append((sample_id, int(label), split, family, row))
     if t is None:
         raise DatasetError(f"{path}: no records, cannot infer member count")
-    return _from_rows(ids, labels, splits, families, rows, t, path)
-
-
-def _from_rows(ids, labels, splits, families, rows: list[list[float]], t: int, path: Path) -> PredictionDataset:
+    ids, labels, splits, families, rows = zip(*kept) if kept else ((),) * 5
     scores = np.array(rows, dtype=np.float64).reshape(len(ids), t)
     return PredictionDataset(np.array(ids, dtype=object), labels, splits, families, scores, str(path))
 

@@ -203,6 +203,15 @@ class TestFitLocal:
             assert local.achieved_val == g.achieved_val
             assert local.sweeps_used == 0
 
+    def test_sweep_tol_nan_rejected(self, hetero_val):
+        val, _ = hetero_val
+        with pytest.raises(ValueError) as exc:
+            fit_local(val, 1e-2, Variant.LV1, sweep_tol=math.nan)
+        assert str(exc.value) == "sweep_tol must not be NaN, got nan"
+        # zero or a negative tolerance never stops the sweeps: the fit runs max_sweeps of them
+        for tol in (0.0, -1.0):
+            assert fit_local(val, 1e-2, Variant.LV1, sweep_tol=tol, max_sweeps=4).sweeps_used == 4
+
     def test_improves_validation_tpr(self, hetero_val):
         val, _ = hetero_val
         base = fit_global(val, 1e-2).achieved_val.tpr

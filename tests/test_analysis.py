@@ -219,6 +219,17 @@ class TestGroupSplits:
         assert split.sample_ids[0].tolist() == ["s0", "s1"]
         assert split.sample_ids[1].tolist() == ["s2", "s3"]
 
+    def test_nan_threshold_rejected(self):
+        ds = make_dataset([[0.9, 0.8], [0.2, 0.1], [0.7, 0.6], [0.3, 0.4]], [1, 0, 0, 1])
+        with pytest.raises(ValueError) as exc:
+            uncertainty_by_correctness(ds, threshold=math.nan)
+        assert str(exc.value) == "threshold must not be NaN, got nan"
+        # a threshold outside [0, 1] still predicts every sample malicious (below) or benign (above)
+        for threshold in (-0.5, -math.inf):
+            assert uncertainty_by_correctness(ds, threshold).sample_ids[0].tolist() == ["s0", "s3"]
+        for threshold in (1.5, math.inf):
+            assert uncertainty_by_correctness(ds, threshold).sample_ids[0].tolist() == ["s1", "s2"]
+
     def test_empty_group_flagged_not_raised(self):
         ds = make_dataset([[0.9], [0.1]], [1, 0])
         split = uncertainty_by_correctness(ds, threshold=0.5)

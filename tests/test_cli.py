@@ -152,6 +152,13 @@ class TestFit:
                         "--variant", "g", "--target-fpr", "2.0"])
         assert code == 3
 
+    def test_nan_sweep_tol_exits_3(self, dataset_csv, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        assert run_cli(["fit", "--input", str(dataset_csv), "--output-dir", str(outdir),
+                        "--variant", "g+l", "--target-fpr", "0.01", "--sweep-tol", "nan"]) == 3
+        assert capsys.readouterr().err == "error: sweep_tol must not be NaN, got nan\n"
+        assert not (outdir / "calibration_g+l_0.01.json").exists()
+
     def test_missing_target_is_usage_error(self, dataset_csv):
         assert run_cli(["fit", "--input", str(dataset_csv), "--variant", "g"]) == 1
 
@@ -475,6 +482,13 @@ class TestStudy:
         assert lines[0] == "sample_id,group,value"
         groups = {line.split(",")[1] for line in lines[1:]}
         assert groups == {"correct", "incorrect"}
+
+    def test_errors_study_nan_threshold_exits_3(self, dataset_csv, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        assert run_cli(["study", "--input", str(dataset_csv), "--output-dir", str(outdir),
+                        "--study", "errors", "--threshold", "nan"]) == 3
+        assert capsys.readouterr().err == "error: threshold must not be NaN, got nan\n"
+        assert not (outdir / "errors.csv").exists()
 
     def test_novelty_study(self, tmp_path):
         config_path = tmp_path / "config.json"

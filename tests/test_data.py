@@ -448,6 +448,18 @@ class TestLoaderEquivalence:
     def test_jsonl_empty_file(self, tmp_path):
         assert_loaders_agree(self.write(tmp_path, "", "jsonl"), "jsonl")
 
+    def test_empty_files(self, tmp_path):
+        # A header-only CSV is an empty dataset with the header's members;
+        # JSON Lines without a record cannot tell the member count.
+        for text in (self.HEADER, self.HEADER + "\n\n"):
+            ds = load_dataset(self.write(tmp_path, text))
+            assert (len(ds), ds.member_count, ds.scores.shape) == (0, 2, (0, 2))
+        for text in ("", "\n \n"):
+            path = self.write(tmp_path, text, "jsonl")
+            with pytest.raises(DatasetError) as exc:
+                load_dataset(path, "jsonl")
+            assert str(exc.value) == f"{path}: no records, cannot infer member count"
+
     def test_plain_files_skip_the_row_path(self, tmp_path, monkeypatch):
         ds = generate(replace(default_scenario(seed=4), n_benign=150, n_malicious=150))
         paths = {}
@@ -472,59 +484,76 @@ class TestColumnRules:
     """One column check serves the constructor and the bulk loaders.
 
     The constructor raises its message; the loaders hand the same rows to the
-    row path, whose message names the line.
+    row path, whose message names the line, for CSV and JSON Lines alike.
     """
 
     VALID = [("a", 0, "train", None, (0.1, 0.2)), ("b", 1, "test", "famX", (0.9, 0.8))]
+    # bad row, constructor message, CSV row-path message, JSON Lines row-path message
     RULES = {
         "label": (
             ("c", 2, "train", None, (0.5, 0.5)),
             "label must be 0 or 1, got 2 for sample 'c'",
             "line 4: label must be 0 or 1, got '2'",
+            "line 3: label must be 0 or 1, got '2'",
         ),
         "split": (
             ("c", 0, "dev", None, (0.5, 0.5)),
             "unknown split 'dev' for sample 'c'",
             "line 4: unknown split 'dev'",
+            "line 3: unknown split 'dev'",
         ),
         "score range": (
             ("c", 0, "train", None, (0.5, 1.5)),
             "score m1=1.5 outside [0, 1] for sample 'c'",
             "line 4: field m1='1.5' outside [0, 1]",
+            "line 3: field scores[1]=1.5 outside [0, 1]",
         ),
         "tagged benign": (
             ("c", 0, "train", "famY", (0.5, 0.5)),
             "benign sample 'c' carries family tag 'famY'",
             "line 4: benign sample 'c' carries family tag 'famY'",
+            "line 3: benign sample 'c' carries family tag 'famY'",
         ),
         "duplicate id": (
             ("a", 0, "train", None, (0.5, 0.5)),
             "duplicate sample_id 'a'",
             "line 4: duplicate sample_id 'a' (first seen on line 2)",
+            "line 3: duplicate sample_id 'a' (first seen on line 1)",
         ),
     }
 
-    @pytest.mark.parametrize("rule", list(RULES))
-    def test_constructor_and_loader(self, tmp_path, monkeypatch, rule):
-        bad_row, constructor_message, row_message = self.RULES[rule]
+    @pytest.mark.parametrize(
+        "rule, fmt",
+        [
+            pytest.param(rule, fmt, id=rule if fmt == "csv" else f"jsonl-{rule}")
+            for rule in RULES
+            for fmt in ("csv", "jsonl")
+        ],
+    )
+    def test_constructor_and_loader(self, tmp_path, monkeypatch, rule, fmt):
+        bad_row, constructor_message, csv_message, jsonl_message = self.RULES[rule]
         rows = [*self.VALID, bad_row]
         ids, labels, splits, families, scores = (list(col) for col in zip(*rows))
         with pytest.raises(DatasetError) as exc:
             PredictionDataset(sample_ids=ids, labels=labels, splits=splits, families=families, scores=scores)
         assert str(exc.value) == constructor_message
 
-        path = tmp_path / "d.csv"
-        lines = ["sample_id,label,split,family,m0,m1"]
-        lines += [f"{i},{lab},{s},{f or ''},{a!r},{b!r}" for i, lab, s, f, (a, b) in rows]
+        path = tmp_path / f"d.{fmt}"
+        if fmt == "csv":
+            lines = ["sample_id,label,split,family,m0,m1"]
+            lines += [f"{i},{lab},{s},{f or ''},{a!r},{b!r}" for i, lab, s, f, (a, b) in rows]
+        else:
+            lines = [json.dumps(dict(id=i, label=lab, split=s, family=f, scores=list(sc))) for i, lab, s, f, sc in rows]
         path.write_text("\n".join(lines) + "\n")
-        row_path, read_rows = [], data._csv_rows
+        row_path, name = [], f"_{fmt}_rows"
+        read_rows = getattr(data, name)
 
         def spy(p):
             row_path.append(p)
             return read_rows(p)
 
-        monkeypatch.setattr(data, "_csv_rows", spy)
+        monkeypatch.setattr(data, name, spy)
         with pytest.raises(DatasetError) as exc:
-            load_dataset(path)
-        assert str(exc.value) == f"{path}: {row_message}"
+            load_dataset(path, fmt)
+        assert str(exc.value) == f"{path}: {csv_message if fmt == 'csv' else jsonl_message}"
         assert row_path == [path]
