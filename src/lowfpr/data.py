@@ -8,27 +8,27 @@ are supported:
 * JSON Lines with keys ``id``, ``label``, ``split``, ``family`` (nullable) and
   ``scores`` (array of T floats).
 
-Each input is parsed and validated once, column by column. A CSV goes through
-one ``np.loadtxt`` call; JSON Lines are decoded a chunk of lines at a time and
-reduced to columns. One column check, ``_column_fault``, holds the schema's
-rules: labels are 0 or 1, splits are known, scores lie in [0, 1], benign rows
-carry no family tag, ids are unique. It names the first offending row.
-``PredictionDataset(...)`` raises DatasetError with that message; the loaders
-use it to decide whether the parsed columns can be trusted.
+Each input is parsed and validated once. JSON Lines has one loader, the row
+path below; CSV has two. Its bulk path parses the file with one ``np.loadtxt``
+call and hands the columns to one column check, ``_column_fault``, which holds
+the schema's rules: labels are 0 or 1, splits are known, scores lie in [0, 1],
+benign rows carry no family tag, ids are unique. It names the first offending
+row; ``PredictionDataset(...)`` raises DatasetError with that message.
 
-When a check fails, or a CSV holds anything that ``np.loadtxt`` might read
+When that check fails, or a CSV holds anything that ``np.loadtxt`` might read
 differently from ``csv.reader`` and ``float()`` (a quote, a carriage return
 outside ``\r\n``, one of the separators ``\x1c``-``\x1f``, an overlong
-line), the file is read again row by row. That row path is the only place a
-load raises DatasetError, so every message names its line and field. Each
-format's reader only splits its lines into records; one row checker,
-``_from_records``, applies the schema's rules to the records of both formats.
+line), the CSV is read again row by row. The row path is the only place a
+load raises DatasetError for a broken rule, so every message names its line
+and field. Each format's reader only splits its lines into records; one row
+checker, ``_from_records``, applies the schema's rules to the records of both
+formats. An unreadable or non-UTF-8 file raises DatasetError naming it.
 
 Datasets are immutable; all column arrays are read-only so downstream code can
 share them without copying. ``PredictionDataset(...)`` validates and copies
-its columns. The loaders, ``filter_split`` and ``subsample`` build their
-results from columns that are already valid through the private
-``PredictionDataset._trusted``, which skips that validation.
+its columns. No load validates twice: the loaders, ``filter_split`` and
+``subsample`` build their results from columns that are already valid through
+the private ``PredictionDataset._trusted``, which skips that validation.
 
 Every CSV table the package writes, datasets and study results alike, goes
 through ``_write_csv``.
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import json
+from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -53,8 +54,6 @@ _FORMATS = ("csv", "jsonl")
 # a carriage return outside "\r\n", and the separators \x1c-\x1f, which numpy
 # strips from a number as whitespace where float() rejects it.
 _CSV_UNSAFE = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
-# Bytes of JSON lines decoded before their objects are reduced to columns.
-_JSONL_CHUNK = 1 << 20
 # Rows turned into Python objects at a time by the writers.
 _WRITE_BLOCK = 4096
 
@@ -193,32 +192,9 @@ def _parse_score(raw: object, field: str, where: str) -> float:
     return value
 
 
-def _checked(ids, labels, splits, families, scores: np.ndarray, provenance: str) -> PredictionDataset | None:
-    """Parsed columns as a dataset when they pass every check of the row path, else None.
-
-    ``labels`` holds the label fields as text, so that only "0" and "1" pass
-    (``1.0`` is left to the row path); ``families`` holds ``None`` for an
-    untagged row.
-    """
-    labels = np.asarray(labels, dtype=object)
-    malicious = labels == "1"
-    if not (malicious | (labels == "0")).all():
-        return None
-    ids, splits, families = (np.array(col, dtype=object) for col in (ids, splits, families))
-    scores = np.ascontiguousarray(scores, dtype=np.float64)
-    # The bools check as the labels would (False == 0, True == 1); int64 labels come after, off the memory peak.
-    if _column_fault(ids, malicious, splits, families, scores) is not None:
-        return None
-    return PredictionDataset._trusted(ids, malicious.astype(np.int64), splits, families, scores, provenance)
-
-
 def _csv_columns(path: Path) -> PredictionDataset | None:
     """Parse a CSV in bulk; None when the row path has to read it."""
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    text = text.replace("\r\n", "\n")
+    text = path.read_bytes().decode("utf-8").replace("\r\n", "\n")
     if any(c in text for c in _CSV_UNSAFE):
         return None
     lines = text.split("\n")
@@ -238,35 +214,17 @@ def _csv_columns(path: Path) -> PredictionDataset | None:
     except ValueError:
         return None
     del body
+    # Only "0" and "1" pass as labels here ("1.0" is left to the row path).
+    malicious = rows["label"] == "1"
+    if not (malicious | (rows["label"] == "0")).all():
+        return None
+    ids, splits = np.array(rows["sample_id"], dtype=object), np.array(rows["split"], dtype=object)
     families = np.where(rows["family"] == "", None, rows["family"])
-    return _checked(rows["sample_id"], rows["label"], rows["split"], families, rows["scores"], str(path))
-
-
-def _jsonl_columns(path: Path) -> PredictionDataset | None:
-    """Decode JSON Lines into columns, a chunk at a time; None when the row path has to read them."""
-    ids: list[str] = []
-    labels: list[str] = []
-    splits: list[str] = []
-    families: list[str | None] = []
-    blocks: list[np.ndarray] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            while lines := fh.readlines(_JSONL_CHUNK):
-                objs = [json.loads(line) for line in lines if not line.isspace()]
-                if not objs:
-                    continue
-                ids += [str(o["id"]) for o in objs]
-                labels += [str(o["label"]) for o in objs]
-                splits += [str(o["split"]) for o in objs]
-                families += [None if o["family"] is None else str(o["family"]) for o in objs]
-                # A number array only if every "scores" is a list of T numbers.
-                blocks.append(np.array([o["scores"] for o in objs]))
-    except (ValueError, TypeError, KeyError, RecursionError):
+    scores = np.ascontiguousarray(rows["scores"], dtype=np.float64)
+    # The bools check as the labels would (False == 0, True == 1); int64 labels come after, off the memory peak.
+    if _column_fault(ids, malicious, splits, families, scores) is not None:
         return None
-    t = blocks[0].shape[-1] if blocks else 0
-    if t < 1 or any(b.ndim != 2 or b.shape[1] != t or b.dtype.kind not in "biuf" for b in blocks):
-        return None
-    return _checked(ids, labels, splits, families, np.concatenate(blocks), str(path))
+    return PredictionDataset._trusted(ids, malicious.astype(np.int64), splits, families, scores, str(path))
 
 
 def _csv_rows(path: Path) -> PredictionDataset:
@@ -303,18 +261,17 @@ def _jsonl_rows(path: Path) -> PredictionDataset:
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
-            where = f"{path}: line {lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DatasetError(f"{where}: invalid JSON: {exc}") from None
+                raise DatasetError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
-                raise DatasetError(f"{where}: expected a JSON object")
-            for key in ("id", "label", "split", "family", "scores"):
-                if key not in obj:
-                    raise DatasetError(f"{where}: missing key '{key}'")
-            family = None if obj["family"] is None else str(obj["family"])
-            yield lineno, str(obj["id"]), str(obj["label"]), str(obj["split"]), family, obj["scores"]
+                raise DatasetError(f"{path}: line {lineno}: expected a JSON object")
+            try:
+                sample_id, label, split, family, scores = obj["id"], obj["label"], obj["split"], obj["family"], obj["scores"]
+            except KeyError as exc:
+                raise DatasetError(f"{path}: line {lineno}: missing key '{exc.args[0]}'") from None
+            yield lineno, str(sample_id), str(label), str(split), None if family is None else str(family), scores
 
     with open(path, encoding="utf-8") as fh:
         return _from_records(path, records(fh), "scores[{}]", None)
@@ -326,47 +283,69 @@ def _from_records(path: Path, records, field_name: str, member_count: int | None
     Each record is ``(lineno, sample_id, label_text, split, family, raw_scores)``
     with text fields and ``None`` for an untagged family. ``field_name`` formats
     score k's name in messages. A ``member_count`` of None is taken from the
-    first record, and a file with no record cannot give one.
+    first record, and a file with no record cannot give one. A message's text
+    is built only once its check has failed.
     """
-    kept: list[tuple] = []
+    ids, malicious, splits, families = [], [], [], []
+    scores = array("d")
     seen: dict[str, int] = {}
     t = member_count
+
+    def fault(message: str) -> DatasetError:
+        return DatasetError(f"{path}: line {lineno}: {message}")
+
     for lineno, sample_id, label, split, family, raw_scores in records:
-        where = f"{path}: line {lineno}"
         if sample_id in seen:
-            raise DatasetError(f"{where}: duplicate sample_id '{sample_id}' (first seen on line {seen[sample_id]})")
+            raise fault(f"duplicate sample_id '{sample_id}' (first seen on line {seen[sample_id]})")
         seen[sample_id] = lineno
         if label not in ("0", "1"):
-            raise DatasetError(f"{where}: label must be 0 or 1, got {label!r}")
+            raise fault(f"label must be 0 or 1, got {label!r}")
         if split not in SPLIT_NAMES:
-            raise DatasetError(f"{where}: unknown split {split!r}")
+            raise fault(f"unknown split {split!r}")
         if label == "0" and family is not None:
-            raise DatasetError(f"{where}: benign sample '{sample_id}' carries family tag '{family}'")
+            raise fault(f"benign sample '{sample_id}' carries family tag '{family}'")
         if not isinstance(raw_scores, list):
-            raise DatasetError(f"{where}: field scores must be an array")
+            raise fault("field scores must be an array")
         if t is None:
             t = len(raw_scores)
             if t < 1:
-                raise DatasetError(f"{where}: field scores is empty")
+                raise fault("field scores is empty")
         elif len(raw_scores) != t:
-            raise DatasetError(f"inconsistent member count for sample '{sample_id}': expected {t}, got {len(raw_scores)}")
-        row = [_parse_score(raw, field_name.format(k), where) for k, raw in enumerate(raw_scores)]
-        kept.append((sample_id, int(label), split, family, row))
+            raise fault(f"inconsistent member count for sample '{sample_id}': expected {t}, got {len(raw_scores)}")
+        try:
+            row = list(map(float, raw_scores))
+            valid = all(0.0 <= v <= 1.0 for v in row)
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:  # score by score, so that the first bad score names itself
+            where = f"{path}: line {lineno}"
+            row = [_parse_score(raw, field_name.format(k), where) for k, raw in enumerate(raw_scores)]
+        scores.extend(row)
+        ids.append(sample_id)
+        malicious.append(label == "1")
+        splits.append(split)
+        families.append(family)
     if t is None:
         raise DatasetError(f"{path}: no records, cannot infer member count")
-    ids, labels, splits, families, rows = zip(*kept) if kept else ((),) * 5
-    scores = np.array(rows, dtype=np.float64).reshape(len(ids), t)
-    return PredictionDataset(np.array(ids, dtype=object), labels, splits, families, scores, str(path))
+    ids, splits, families = (np.array(col, dtype=object) for col in (ids, splits, families))
+    scores = np.frombuffer(scores, dtype=np.float64).reshape(len(ids), t)
+    return PredictionDataset._trusted(ids, np.array(malicious, dtype=np.int64), splits, families, scores, str(path))
 
 
 def load_dataset(path: str | Path, format: str = "csv") -> PredictionDataset:
-    """Load and validate a dataset file. Schema violations raise DatasetError."""
+    """Load and validate a dataset file. Schema violations and unreadable or non-UTF-8 files raise DatasetError."""
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"no such file: {path}")
-    bulk, rows = (_csv_columns, _csv_rows) if _check_format(format) == "csv" else (_jsonl_columns, _jsonl_rows)
-    ds = bulk(path)
-    return rows(path) if ds is None else ds
+    try:
+        if _check_format(format) == "jsonl":
+            return _jsonl_rows(path)
+        ds = _csv_columns(path)
+        return _csv_rows(path) if ds is None else ds
+    except OSError as exc:
+        raise DatasetError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 def save_dataset(ds: PredictionDataset, path: str | Path, format: str = "csv") -> None:

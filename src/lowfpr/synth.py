@@ -85,13 +85,28 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        """A config from JSON values; an unknown key or a value of the wrong type raises ValueError."""
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in d.items():
+            default = getattr(cls, key)  # its type is the field's: int, float or a tuple of three floats
+            if isinstance(default, tuple):
+                ok = isinstance(value, (list, tuple)) and len(value) == 3 and all(map(_is_number, value))
+                kind = "a list of three numbers"
+            elif isinstance(default, int):
+                ok, kind = _is_number(value, int), "an integer"
+            else:
+                ok, kind = _is_number(value), "a number"
+            if not ok:
+                raise ValueError(f"{key} must be {kind}, got {value!r}")
         if "split_fractions" in d:
             d = dict(d, split_fractions=tuple(d["split_fractions"]))
         return cls(**d)
+
+
+def _is_number(value, kinds=(int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def load_config(path: str | Path) -> SynthConfig:

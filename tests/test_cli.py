@@ -62,6 +62,21 @@ class TestValidate:
     def test_missing_file_is_a_data_error(self, tmp_path):
         assert run_cli(["validate", "--input", str(tmp_path / "absent.csv")]) == 2
 
+    @pytest.mark.parametrize(
+        "fmt, content",
+        [("csv", b"sample_id,label,split,family,m0\n\xff,0,test,,0.5\n"), ("jsonl", b'{"id": "\xff"}\n'), ("csv", None)],
+        ids=["csv-not-utf8", "jsonl-not-utf8", "directory"],
+    )
+    def test_unreadable_dataset_exits_2(self, tmp_path, capsys, fmt, content):
+        path = tmp_path / f"data.{fmt}"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert run_cli(["validate", "--input", str(path), "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1
+
     def test_usage_error_exits_1(self):
         assert run_cli(["validate"]) == 1
         assert run_cli(["no-such-command"]) == 1
@@ -102,6 +117,23 @@ class TestSynth:
         config_path.write_text(json.dumps(small_config(seed=-2)))
         assert run_cli(["synth", "--config", str(config_path), "--output", str(tmp_path / "x.csv")]) == 3
         assert capsys.readouterr().err == "error: seed must be nonnegative, got -2\n"
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("n_benign", "x", "an integer"),
+            ("seed", "7", "an integer"),
+            ("member_count", 2.5, "an integer"),
+            ("split_fractions", 3, "a list of three numbers"),
+        ],
+    )
+    def test_wrongly_typed_config_exits_3(self, tmp_path, capsys, key, value, kind):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(small_config(**{key: value})))
+        out = tmp_path / "x.csv"
+        assert run_cli(["synth", "--config", str(config_path), "--output", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {key} must be {kind}, got {value!r}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "content", [None, b'{"seed": ', b"\xff\xfe", b"[1, 2]"], ids=["missing", "not-json", "not-text", "not-object"]

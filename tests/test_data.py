@@ -116,8 +116,10 @@ class TestJsonlValidation:
             '{"id": "a", "label": 1, "split": "test", "family": "f1", "scores": [0.1, 0.2, 0.3, 0.4, 0.5]}',
             '{"id": "b", "label": 0, "split": "test", "family": null, "scores": [0.1, 0.2, 0.3, 0.4]}',
         ]
-        with pytest.raises(DatasetError, match="sample 'b'.*expected 5, got 4"):
+        with pytest.raises(DatasetError) as exc:
             self.load_lines(tmp_path, lines)
+        path = tmp_path / "d.jsonl"
+        assert str(exc.value) == f"{path}: line 2: inconsistent member count for sample 'b': expected 5, got 4"
 
     def test_missing_key_cites_line(self, tmp_path):
         with pytest.raises(DatasetError, match="line 1.*'split'"):
@@ -241,8 +243,11 @@ class TestImmutability:
 
     def test_selection_and_bulk_loading_skip_revalidation(self, tmp_path, monkeypatch):
         ds = make_dataset(n=30, seed=2)
-        path = tmp_path / "d.csv"
+        path, jsonl, quoted = tmp_path / "d.csv", tmp_path / "d.jsonl", tmp_path / "q.csv"
         save_dataset(ds, path)
+        save_dataset(ds, jsonl, "jsonl")
+        with open(path, newline="") as fh, open(quoted, "w", newline="") as out:
+            csv.writer(out, quoting=csv.QUOTE_ALL).writerows(csv.reader(fh))
 
         def revalidate(self):
             raise AssertionError("dataset validated again")
@@ -251,6 +256,8 @@ class TestImmutability:
         assert len(filter_split(ds, "validation")) == 30
         assert len(subsample(ds, 0.5, seed=3)) == 15
         assert len(load_dataset(path)) == 30
+        assert len(load_dataset(jsonl, "jsonl")) == 30
+        assert_same_columns(load_dataset(quoted), ds)  # quotes send a CSV down the row path
 
 
 def reference_csv(ds):
@@ -321,11 +328,10 @@ def load_outcome(load, *args):
         return type(exc), str(exc)
 
 
-def assert_loaders_agree(path, fmt):
-    """load_dataset gives what the row path gives: equal columns, or the same error."""
-    rows = data._csv_rows if fmt == "csv" else data._jsonl_rows
-    want = load_outcome(rows, path)
-    got = load_outcome(load_dataset, path, fmt)
+def assert_loaders_agree(path):
+    """load_dataset gives what the CSV row path gives: equal columns, or the same error."""
+    want = load_outcome(data._csv_rows, path)
+    got = load_outcome(load_dataset, path)
     if isinstance(want, PredictionDataset):
         assert isinstance(got, PredictionDataset), got
         assert_same_columns(got, want)
@@ -335,7 +341,7 @@ def assert_loaders_agree(path, fmt):
 
 
 class TestLoaderEquivalence:
-    """The bulk loaders agree with the row-by-row path on every input."""
+    """The bulk CSV loader agrees with the row path on every input; JSON Lines outcomes are pinned."""
 
     HEADER = "sample_id,label,split,family,m0,m1\n"
     VALID = "a,0,train,,0.1,0.2\nb,1,test,famX,0.9,0.8\n"
@@ -368,11 +374,11 @@ class TestLoaderEquivalence:
 
     @pytest.mark.parametrize("body", list(CSV_BODIES.values()), ids=list(CSV_BODIES))
     def test_csv_inputs(self, tmp_path, body):
-        assert_loaders_agree(self.write(tmp_path, self.HEADER + body), "csv")
+        assert_loaders_agree(self.write(tmp_path, self.HEADER + body))
 
     @pytest.mark.parametrize("text", ["", "\n", "\n" + HEADER, HEADER, "\ufeff" + HEADER + VALID, HEADER.replace("m1", "m2") + VALID])
     def test_csv_headers(self, tmp_path, text):
-        assert_loaders_agree(self.write(tmp_path, text), "csv")
+        assert_loaders_agree(self.write(tmp_path, text))
 
     def test_csv_quoted_fields(self, tmp_path):
         out = io.StringIO(newline="")
@@ -380,11 +386,11 @@ class TestLoaderEquivalence:
         writer.writerow(self.HEADER.strip().split(","))
         for k, sample_id in enumerate(["com,ma", 'quo"te', "new\nline", "cr\rret", "plain"]):
             writer.writerow([sample_id, 1, "test", 'f,"x', 0.5, k / 10])
-        assert_loaders_agree(self.write(tmp_path, out.getvalue()), "csv")
+        assert_loaders_agree(self.write(tmp_path, out.getvalue()))
 
     @pytest.mark.parametrize("spelling", SPELLINGS)
     def test_csv_score_spellings(self, tmp_path, spelling):
-        assert_loaders_agree(self.write(tmp_path, self.HEADER + self.VALID + f"c,0,train,,{spelling},0.5\n"), "csv")
+        assert_loaders_agree(self.write(tmp_path, self.HEADER + self.VALID + f"c,0,train,,{spelling},0.5\n"))
 
     def test_csv_one_character_around_a_score(self, tmp_path):
         # Every ASCII character and every character float() may strip as
@@ -392,11 +398,11 @@ class TestLoaderEquivalence:
         chars = [chr(c) for c in range(128)] + [chr(c) for c in range(128, 0x3001) if chr(c).isspace()]
         for c in chars:
             for score in (c + "0.5", "0.5" + c):
-                assert_loaders_agree(self.write(tmp_path, self.HEADER + f"a,0,train,,0.25,{score}\n"), "csv")
+                assert_loaders_agree(self.write(tmp_path, self.HEADER + f"a,0,train,,0.25,{score}\n"))
 
     def test_csv_overlong_field(self, tmp_path):
         long_id = "x" * (csv.field_size_limit() + 1)
-        assert_loaders_agree(self.write(tmp_path, self.HEADER + f"{long_id},0,train,,0.1,0.2\n"), "csv")
+        assert_loaders_agree(self.write(tmp_path, self.HEADER + f"{long_id},0,train,,0.1,0.2\n"))
 
     @staticmethod
     def record(sample_id="a", label=0, split="train", family=None, scores=(0.1, 0.2), **extra):
@@ -420,6 +426,7 @@ class TestLoaderEquivalence:
             "string scores": [r(scores=(" 0.5", "1_0")), r("b", scores=("+.5", "1e-400"))],
             "tiny score": ['{"id": "a", "label": 0, "split": "train", "family": null, "scores": [1e-400, 0.5]}'],
             "nan score": ['{"id": "a", "label": 0, "split": "train", "family": null, "scores": [NaN, 0.5]}'],
+            "nan second score": ['{"id": "a", "label": 0, "split": "train", "family": null, "scores": [0.5, NaN]}'],
             "inf score": ['{"id": "a", "label": 0, "split": "train", "family": null, "scores": [Infinity, 0.5]}'],
             "string nan": [r(scores=("nan", 0.5))],
             "null score": [r(scores=(None, 0.5))],
@@ -436,17 +443,73 @@ class TestLoaderEquivalence:
             "extra key": [r(extra=1)],
             "leading space": [" " + valid[0]],
             "huge int id": [r(0).replace('"id": 0', '"id": ' + "9" * 5000)],
+            "huge int score": [r(scores=(0.5, 0)).replace("0]", "1" + "0" * 400 + "]")],
+            "huge int after a bad score": [r(scores=(1.5, 0)).replace("0]", "1" + "0" * 400 + "]")],
         }
         return cases
 
+    # What load_dataset gives for each JSON Lines case, whatever the line
+    # ending: the row count, or the exception's type and message.
+    JSONL_OUTCOMES = {
+        "valid": 2,
+        "blank lines": 2,
+        "label 1": 1,
+        'label "1"': 1,
+        "label true": (DatasetError, "{path}: line 1: label must be 0 or 1, got 'True'"),
+        "label 1.0": (DatasetError, "{path}: line 1: label must be 0 or 1, got '1.0'"),
+        "odd ids": 3,
+        "numeric ids": (DatasetError, "{path}: line 2: duplicate sample_id '7' (first seen on line 1)"),
+        "empty family tag": (DatasetError, "{path}: line 1: benign sample 'a' carries family tag ''"),
+        "numeric family": 1,
+        "int and bool scores": 2,
+        "string scores": (DatasetError, "{path}: line 1: field scores[1]='1_0' outside [0, 1]"),
+        "tiny score": 1,
+        "nan score": (DatasetError, "{path}: line 1: field scores[0]=nan outside [0, 1]"),
+        "nan second score": (DatasetError, "{path}: line 1: field scores[1]=nan outside [0, 1]"),
+        "inf score": (DatasetError, "{path}: line 1: field scores[0]=inf outside [0, 1]"),
+        "string nan": (DatasetError, "{path}: line 1: field scores[0]='nan' outside [0, 1]"),
+        "null score": (DatasetError, "{path}: line 1: field scores[0] is not a number: None"),
+        "nested scores": (DatasetError, "{path}: line 1: field scores[0] is not a number: [0.5]"),
+        "object in scores": (DatasetError, "{path}: line 1: field scores[0] is not a number: {{}}"),
+        "scores not a list": (DatasetError, "{path}: line 1: field scores must be an array"),
+        "empty scores": (DatasetError, "{path}: line 1: field scores is empty"),
+        "ragged scores": (DatasetError, "{path}: line 2: inconsistent member count for sample 'b': expected 2, got 3"),
+        "not an object": (DatasetError, "{path}: line 1: expected a JSON object"),
+        "missing key": (DatasetError, "{path}: line 1: missing key 'split'"),
+        "invalid json": (
+            DatasetError,
+            "{path}: line 2: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        ),
+        "two values on a line": (DatasetError, "{path}: line 1: invalid JSON: Extra data: line 1 column 81 (char 80)"),
+        "value across lines": (DatasetError, "{path}: line 1: invalid JSON: Expecting ',' delimiter: line 2 column 1 (char 89)"),
+        "extra key": 1,
+        "leading space": 1,
+        "huge int id": (
+            ValueError,
+            "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
+            "use sys.set_int_max_str_digits() to increase the limit",
+        ),
+        "huge int score": (OverflowError, "int too large to convert to float"),
+        "huge int after a bad score": (DatasetError, "{path}: line 1: field scores[0]=1.5 outside [0, 1]"),
+    }
+
+    def jsonl_outcome(self, path):
+        got = load_outcome(load_dataset, path, "jsonl")
+        return len(got) if isinstance(got, PredictionDataset) else got
+
     def test_jsonl_inputs(self, tmp_path):
-        for name, lines in self.jsonl_cases().items():
+        cases = self.jsonl_cases()
+        assert cases.keys() == self.JSONL_OUTCOMES.keys()
+        for name, lines in cases.items():
+            outcome = self.JSONL_OUTCOMES[name]
             for ending in ("\n", "\r\n", "\r"):
                 path = self.write(tmp_path, ending.join(lines) + ending, "jsonl")
-                assert_loaders_agree(path, "jsonl")
+                want = outcome if isinstance(outcome, int) else (outcome[0], outcome[1].format(path=path))
+                assert self.jsonl_outcome(path) == want, (name, ending)
 
     def test_jsonl_empty_file(self, tmp_path):
-        assert_loaders_agree(self.write(tmp_path, "", "jsonl"), "jsonl")
+        path = self.write(tmp_path, "", "jsonl")
+        assert self.jsonl_outcome(path) == (DatasetError, f"{path}: no records, cannot infer member count")
 
     def test_empty_files(self, tmp_path):
         # A header-only CSV is an empty dataset with the header's members;
@@ -461,6 +524,9 @@ class TestLoaderEquivalence:
             assert str(exc.value) == f"{path}: no records, cannot infer member count"
 
     def test_plain_files_skip_the_row_path(self, tmp_path, monkeypatch):
+        # A plain CSV never reaches the CSV row path; JSON Lines, whose one
+        # loader is the row path, read each file in one pass and build the
+        # dataset without the constructor's second validation.
         ds = generate(replace(default_scenario(seed=4), n_benign=150, n_malicious=150))
         paths = {}
         for fmt in ("csv", "jsonl"):
@@ -468,23 +534,33 @@ class TestLoaderEquivalence:
             save_dataset(ds, paths[fmt], fmt)
         crlf_blank = self.write(tmp_path, self.HEADER + "\n" + self.VALID.replace("\n", "\r\n\n"))
         blank_jsonl = self.write(tmp_path, "\n".join(["", self.record(), " ", self.record("b"), ""]), "jsonl")
+        read_jsonl, jsonl_reads = data._jsonl_rows, []
 
         def row_path(path):
             raise AssertionError(f"{path} went through the row path")
 
+        def jsonl_rows(path):
+            jsonl_reads.append(path)
+            return read_jsonl(path)
+
+        def revalidate(self):
+            raise AssertionError("dataset validated again")
+
         monkeypatch.setattr(data, "_csv_rows", row_path)
-        monkeypatch.setattr(data, "_jsonl_rows", row_path)
+        monkeypatch.setattr(data, "_jsonl_rows", jsonl_rows)
+        monkeypatch.setattr(PredictionDataset, "__post_init__", revalidate)
         for fmt, path in paths.items():
             assert_same_columns(load_dataset(path, fmt), ds)
         assert len(load_dataset(crlf_blank)) == 2
         assert len(load_dataset(blank_jsonl, "jsonl")) == 2
+        assert jsonl_reads == [paths["jsonl"], blank_jsonl]
 
 
 class TestColumnRules:
-    """One column check serves the constructor and the bulk loaders.
+    """One column check serves the constructor and the bulk CSV loader.
 
-    The constructor raises its message; the loaders hand the same rows to the
-    row path, whose message names the line, for CSV and JSON Lines alike.
+    The constructor raises its message; a load raises the row path's message,
+    which names the line, for CSV and JSON Lines alike.
     """
 
     VALID = [("a", 0, "train", None, (0.1, 0.2)), ("b", 1, "test", "famX", (0.9, 0.8))]

@@ -45,6 +45,22 @@ class TestSynthConfig:
             SynthConfig(split_fractions=(0.5, 0.6, -0.1))
         with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
             SynthConfig(seed=-1)
+        # Wrongly typed JSON values name their key instead of failing later with a TypeError.
+        bad_types = {
+            "n_benign": ("x", "n_benign must be an integer, got 'x'"),
+            "seed": ("7", "seed must be an integer, got '7'"),
+            "member_count": (2.5, "member_count must be an integer, got 2.5"),
+            "split_fractions": (3, "split_fractions must be a list of three numbers, got 3"),
+            "n_malicious": (True, "n_malicious must be an integer, got True"),
+            "logit_sd": ("1", "logit_sd must be a number, got '1'"),
+        }
+        for key, (value, message) in bad_types.items():
+            with pytest.raises(ValueError) as exc:
+                SynthConfig.from_dict({key: value})
+            assert str(exc.value) == message
+        with pytest.raises(ValueError, match="^split_fractions must be a list of three numbers"):
+            SynthConfig.from_dict({"split_fractions": [0.5, "0.25", 0.25]})
+        assert SynthConfig.from_dict({"logit_sd": 2, "split_fractions": [1, 0, 0]}).logit_sd == 2
 
     def test_dict_round_trip(self):
         config = heteroscedastic_scenario(seed=3)
