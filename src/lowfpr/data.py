@@ -182,16 +182,6 @@ def _check_format(fmt: str) -> str:
     return fmt
 
 
-def _parse_score(raw: object, field: str, where: str) -> float:
-    try:
-        value = float(raw)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise DatasetError(f"{where}: field {field} is not a number: {raw!r}") from None
-    if not (0.0 <= value <= 1.0):
-        raise DatasetError(f"{where}: field {field}={raw!r} outside [0, 1]")
-    return value
-
-
 def _csv_columns(path: Path) -> PredictionDataset | None:
     """Parse a CSV in bulk; None when the row path has to read it."""
     text = path.read_bytes().decode("utf-8").replace("\r\n", "\n")
@@ -312,15 +302,14 @@ def _from_records(path: Path, records, field_name: str, member_count: int | None
                 raise fault("field scores is empty")
         elif len(raw_scores) != t:
             raise fault(f"inconsistent member count for sample '{sample_id}': expected {t}, got {len(raw_scores)}")
-        try:
-            row = list(map(float, raw_scores))
-            valid = all(0.0 <= v <= 1.0 for v in row)
-        except (TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:  # score by score, so that the first bad score names itself
-            where = f"{path}: line {lineno}"
-            row = [_parse_score(raw, field_name.format(k), where) for k, raw in enumerate(raw_scores)]
-        scores.extend(row)
+        for k, raw in enumerate(raw_scores):
+            try:
+                value = float(raw)
+            except (TypeError, ValueError):
+                raise fault(f"field {field_name.format(k)} is not a number: {raw!r}") from None
+            if not (0.0 <= value <= 1.0):
+                raise fault(f"field {field_name.format(k)}={raw!r} outside [0, 1]")
+            scores.append(value)
         ids.append(sample_id)
         malicious.append(label == "1")
         splits.append(split)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -449,7 +450,8 @@ class TestLoaderEquivalence:
         return cases
 
     # What load_dataset gives for each JSON Lines case, whatever the line
-    # ending: the row count, or the exception's type and message.
+    # ending: the row count, or the exception's type and message (for an
+    # error the interpreter words, a part of its message).
     JSONL_OUTCOMES = {
         "valid": 2,
         "blank lines": 2,
@@ -484,10 +486,12 @@ class TestLoaderEquivalence:
         "value across lines": (DatasetError, "{path}: line 1: invalid JSON: Expecting ',' delimiter: line 2 column 1 (char 89)"),
         "extra key": 1,
         "leading space": 1,
+        # json.loads raises a plain ValueError for an int past the interpreter's
+        # digit limit (PYTHONINTMAXSTRDIGITS, -X int_max_str_digits; 0 lifts it).
         "huge int id": (
-            ValueError,
-            "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
-            "use sys.set_int_max_str_digits() to increase the limit",
+            (ValueError, "integer string conversion")
+            if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000
+            else 1
         ),
         "huge int score": (OverflowError, "int too large to convert to float"),
         "huge int after a bad score": (DatasetError, "{path}: line 1: field scores[0]=1.5 outside [0, 1]"),
@@ -504,8 +508,13 @@ class TestLoaderEquivalence:
             outcome = self.JSONL_OUTCOMES[name]
             for ending in ("\n", "\r\n", "\r"):
                 path = self.write(tmp_path, ending.join(lines) + ending, "jsonl")
-                want = outcome if isinstance(outcome, int) else (outcome[0], outcome[1].format(path=path))
-                assert self.jsonl_outcome(path) == want, (name, ending)
+                got = self.jsonl_outcome(path)
+                if isinstance(outcome, int):
+                    assert got == outcome, (name, ending)
+                elif outcome[0] is DatasetError:
+                    assert got == (DatasetError, outcome[1].format(path=path)), (name, ending)
+                else:
+                    assert got[0] is outcome[0] and outcome[1] in got[1], (name, ending)
 
     def test_jsonl_empty_file(self, tmp_path):
         path = self.write(tmp_path, "", "jsonl")
