@@ -53,14 +53,12 @@ from .rocmetrics import (
     select_threshold,
 )
 from .synth import (
-    OracleMetrics,
     SynthConfig,
     default_scenario,
     generate,
     heteroscedastic_scenario,
     noisy_fp_scenario,
     novelty_scenario,
-    oracle_metrics,
 )
 from .uncertainty import (
     UncertaintyTable,

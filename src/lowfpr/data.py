@@ -31,15 +31,22 @@ its columns. No load validates twice: the loaders, ``filter_split`` and
 the private ``PredictionDataset._trusted``, which skips that validation.
 
 Every CSV table the package writes, datasets and study results alike, goes
-through ``_write_csv``.
+through ``_write_csv``. Both writers format each row with one %-template
+built once per table (per file for JSON Lines), turning ``_WRITE_BLOCK`` rows
+at a time into text column by column. A block's text fields get csv quoting
+only when the block's joined text holds a character that needs it; JSON text
+goes through json's own ``encode_basestring_ascii``, the escaping
+``json.dumps`` applies.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from array import array
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -253,7 +260,7 @@ def _jsonl_rows(path: Path) -> PredictionDataset:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an int past the interpreter's digit limit
                 raise DatasetError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
                 raise DatasetError(f"{path}: line {lineno}: expected a JSON object")
@@ -307,6 +314,8 @@ def _from_records(path: Path, records, field_name: str, member_count: int | None
                 value = float(raw)
             except (TypeError, ValueError):
                 raise fault(f"field {field_name.format(k)} is not a number: {raw!r}") from None
+            except OverflowError:  # an int too large for a float
+                value = math.inf
             if not (0.0 <= value <= 1.0):
                 raise fault(f"field {field_name.format(k)}={raw!r} outside [0, 1]")
             scores.append(value)
@@ -344,30 +353,50 @@ def save_dataset(ds: PredictionDataset, path: str | Path, format: str = "csv") -
         header = [*_FIXED_COLUMNS, *(f"m{k}" for k in range(ds.member_count))]
         _write_csv(path, header, [ds.sample_ids, ds.labels, ds.splits, ds.families, *ds.scores.T])
         return
-    columns = (ds.sample_ids, ds.labels, ds.splits, ds.families, ds.scores)
+    scores = ", ".join(["%r"] * ds.member_count)
+    template = f'{{"id": %s, "label": %d, "split": %s, "family": %s, "scores": [{scores}]}}\n'
     with open(path, "w", encoding="utf-8") as fh:
         for lo in range(0, len(ds), _WRITE_BLOCK):
-            rows = zip(*(col[lo : lo + _WRITE_BLOCK].tolist() for col in columns))
-            fh.writelines(
-                json.dumps({"id": i, "label": label, "split": split, "family": family, "scores": scores}) + "\n"
-                for i, label, split, family, scores in rows
+            hi = lo + _WRITE_BLOCK
+            ids, splits, families = (
+                ["null" if v is None else encode_basestring_ascii(v) for v in col[lo:hi].tolist()]
+                for col in (ds.sample_ids, ds.splits, ds.families)
             )
+            rows = zip(ids, ds.labels[lo:hi].tolist(), splits, families, *ds.scores[lo:hi].T.tolist())
+            fh.write("".join([template % row for row in rows]))
 
 
 def _write_csv(path: str | Path, header, columns, lineterminator: str = "\r\n") -> None:
     """Write equal-length columns under a header row as a CSV table.
 
-    The columns are turned into Python objects ``_WRITE_BLOCK`` rows at a time
-    with ``tolist()``: csv writes a float as its repr and None as an empty
-    field, and a bool column is written as ``true`` or ``false``.
+    One %-template formats every row: a float column as its repr, an int
+    column as its str. The other columns become text ``_WRITE_BLOCK`` rows at
+    a time: a bool column ``true`` or ``false``; in any other column None an
+    empty field, a float its repr, anything else its str, quoted as csv's
+    QUOTE_MINIMAL quotes it when it holds a comma, a double quote, "\r" or "\n".
     """
     columns = [np.asarray(col) for col in columns]
-    columns = [np.where(col, "true", "false") if col.dtype == bool else col for col in columns]
+    template = ",".join("%r" if col.dtype.kind == "f" else "%s" for col in columns) + lineterminator
+    special = (",", '"', "\r", "\n")
+
+    def text_fields(values: list) -> list[str]:
+        texts = ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in values]
+        joined = "".join(texts)
+        if any(c in joined for c in special):
+            texts = ['"' + t.replace('"', '""') + '"' if any(c in t for c in special) else t for t in texts]
+        # csv.writer quotes a row's only field when it is empty.
+        return [t or '""' for t in texts] if len(columns) == 1 else texts
+
+    def block_fields(col: np.ndarray) -> list:
+        if col.dtype == bool:
+            return np.where(col, "true", "false").tolist()
+        return col.tolist() if col.dtype.kind in "fiu" else text_fields(col.tolist())
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator=lineterminator)
-        writer.writerow(header)
+        fh.write(",".join(text_fields(list(header))) + lineterminator)
         for lo in range(0, len(columns[0]), _WRITE_BLOCK):
-            writer.writerows(zip(*(col[lo : lo + _WRITE_BLOCK].tolist() for col in columns)))
+            rows = zip(*(block_fields(col[lo : lo + _WRITE_BLOCK]) for col in columns))
+            fh.write("".join([template % row for row in rows]))
 
 
 def _field_columns(rows, row_type) -> list[list]:

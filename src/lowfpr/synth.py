@@ -18,17 +18,16 @@ member noise, split assignment, family assignment.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import DatasetError, PredictionDataset, _read_json
 
-# Stream constants separating the product data stream from the test-only
-# oracle stream. Arbitrary but frozen; changing them changes every dataset.
+# Stream constant of the data stream. Arbitrary but frozen; changing it
+# changes every dataset. Other streams of the same seed are independent of it.
 _DATA_STREAM = 0x64617461  # "data"
-_ORACLE_STREAM = 0x6F7263  # "orc"
 
 _SEEN_FAMILY_COUNT = 8
 _NOVEL_FAMILY_COUNT = 4
@@ -202,49 +201,6 @@ def _generate_with(config: SynthConfig, rng: np.random.Generator) -> PredictionD
 def generate(config: SynthConfig) -> PredictionDataset:
     """Generate a dataset. Bit-identical output for identical configs."""
     return _generate_with(config, _rng(config.seed, _DATA_STREAM))
-
-
-@dataclass(frozen=True)
-class OracleMetrics:
-    """Reference metric estimates from a large independent draw. Test-only."""
-
-    auc: float
-    tpr_at: dict[float, float]
-    n_oracle: int
-
-
-def oracle_metrics(config: SynthConfig, n_oracle: int, fprs=(1e-2, 1e-3)) -> OracleMetrics:
-    """Estimate population AUC and TPR-at-FPR by direct counting.
-
-    Regenerates the scenario at n_oracle samples on a stream independent of
-    generate()'s, then counts on sorted ensemble means. Never used by the
-    product path.
-    """
-    if n_oracle < 2:
-        raise ValueError("n_oracle must be at least 2")
-    total = config.n_benign + config.n_malicious
-    if total == 0:
-        raise ValueError("config generates no samples")
-    scale = n_oracle / total
-    scaled = replace(
-        config,
-        n_benign=max(1, round(config.n_benign * scale)),
-        n_malicious=max(1, round(config.n_malicious * scale)),
-    )
-    ds = _generate_with(scaled, _rng(config.seed, _ORACLE_STREAM))
-    means = ds.scores.mean(axis=1)
-    benign = np.sort(means[ds.labels == 0])
-    malicious = means[ds.labels == 1]
-    lo = np.searchsorted(benign, malicious, side="left")
-    hi = np.searchsorted(benign, malicious, side="right")
-    score_auc = float((lo + 0.5 * (hi - lo)).sum() / (benign.size * malicious.size))
-    tpr_at = {}
-    for f in fprs:
-        if not (0.0 < f < 1.0):
-            raise ValueError(f"fpr {f!r} outside (0, 1)")
-        threshold = np.quantile(benign, 1.0 - f)
-        tpr_at[float(f)] = float((malicious >= threshold).mean())
-    return OracleMetrics(auc=score_auc, tpr_at=tpr_at, n_oracle=len(ds))
 
 
 # Named scenarios used by the studies and the test suite. Sizes are chosen so

@@ -77,6 +77,13 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1
 
+    def test_score_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        huge = "1" + "0" * 400
+        path = tmp_path / "data.jsonl"
+        path.write_text(f'{{"id": "a", "label": 0, "split": "test", "family": null, "scores": [{huge}]}}\n')
+        assert run_cli(["validate", "--input", str(path), "--format", "jsonl"]) == 2
+        assert capsys.readouterr().err == f"data error: {path}: line 1: field scores[0]={huge} outside [0, 1]\n"
+
     def test_usage_error_exits_1(self):
         assert run_cli(["validate"]) == 1
         assert run_cli(["no-such-command"]) == 1

@@ -8,17 +8,63 @@ import pytest
 from lowfpr.data import filter_split
 from lowfpr.rocmetrics import auc, roc_curve, select_threshold
 from lowfpr.synth import (
-    OracleMetrics,
     SynthConfig,
+    _generate_with,
+    _rng,
     default_scenario,
     generate,
     heteroscedastic_scenario,
     load_config,
     novelty_scenario,
     noisy_fp_scenario,
-    oracle_metrics,
 )
 from lowfpr.uncertainty import compute_uncertainties
+
+
+# A stream of the same seed independent of generate()'s data stream.
+_ORACLE_STREAM = 0x6F7263  # "orc"
+
+
+@dataclasses.dataclass(frozen=True)
+class OracleMetrics:
+    """Reference metric estimates from a large independent draw."""
+
+    auc: float
+    tpr_at: dict[float, float]
+    n_oracle: int
+
+
+def oracle_metrics(config: SynthConfig, n_oracle: int, fprs=(1e-2, 1e-3)) -> OracleMetrics:
+    """Estimate population AUC and TPR-at-FPR by direct counting.
+
+    Regenerates the scenario at n_oracle samples on a stream independent of
+    generate()'s, then counts on sorted ensemble means.
+    """
+    if n_oracle < 2:
+        raise ValueError("n_oracle must be at least 2")
+    total = config.n_benign + config.n_malicious
+    if total == 0:
+        raise ValueError("config generates no samples")
+    scale = n_oracle / total
+    scaled = dataclasses.replace(
+        config,
+        n_benign=max(1, round(config.n_benign * scale)),
+        n_malicious=max(1, round(config.n_malicious * scale)),
+    )
+    ds = _generate_with(scaled, _rng(config.seed, _ORACLE_STREAM))
+    means = ds.scores.mean(axis=1)
+    benign = np.sort(means[ds.labels == 0])
+    malicious = means[ds.labels == 1]
+    lo = np.searchsorted(benign, malicious, side="left")
+    hi = np.searchsorted(benign, malicious, side="right")
+    score_auc = float((lo + 0.5 * (hi - lo)).sum() / (benign.size * malicious.size))
+    tpr_at = {}
+    for f in fprs:
+        if not (0.0 < f < 1.0):
+            raise ValueError(f"fpr {f!r} outside (0, 1)")
+        threshold = np.quantile(benign, 1.0 - f)
+        tpr_at[float(f)] = float((malicious >= threshold).mean())
+    return OracleMetrics(auc=score_auc, tpr_at=tpr_at, n_oracle=len(ds))
 
 
 def normal_cdf(x):

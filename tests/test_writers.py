@@ -1,8 +1,8 @@
 """Every CSV table goes through data._write_csv; each writer must give the bytes
-of the row-by-row formatting it replaced: a float as its repr, None as an
-empty field, a bool as true/false, csv quoting, "\r\n" line ends (evaluation.csv
-ends its lines with "\n"). save_dataset's CSV is checked the same way in
-test_data.TestWriters."""
+csv.writer gives row by row: a float as its repr, None as an empty field, a
+bool as true/false, csv quoting, "\r\n" line ends
+(evaluation.csv ends its lines with "\n"). save_dataset's CSV and JSON Lines
+are checked the same way in test_data.TestWriters."""
 
 import csv
 import io
@@ -197,3 +197,29 @@ def test_evaluation_csv(dataset_csv, tmp_path, threshold):
         f"{target!r},{outcome.tpr!r},{outcome.actualized_fpr!r},{outcome.combined!r}\n"
     )
     assert (tmp_path / "evaluation.csv").read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("lineterminator", ["\r\n", "\n"], ids=["crlf", "lf"])
+def test_line_breaks_in_text(tmp_path, small_blocks, lineterminator):
+    # a field holding "\r" or "\n" is quoted whatever the line terminator; in
+    # blocks of 3, the first holds only a lone "\r" and the third nothing to quote
+    texts = ["cr\r", "plain", "a", "lf\n", "crlf\r\n", "b", "c", "d", "e", "\r", "f", "\n"]
+    written = ['"cr\r"', "plain", "a", '"lf\n"', '"crlf\r\n"', "b", "c", "d", "e", '"\r"', "f", '"\n"']
+    path = tmp_path / "t.csv"
+    data._write_csv(path, ("text", "n"), [np.array(texts, dtype=object), list(range(len(texts)))], lineterminator)
+    lines = ["text,n", *(f"{field},{k}" for k, field in enumerate(written))]
+    assert path.read_bytes() == "".join(line + lineterminator for line in lines).encode("utf-8")
+
+
+def test_one_column_with_empty_fields(tmp_path, small_blocks):
+    # csv.writer writes a row's only field as "" when it is empty
+    values = ["a", "", None, "b", "c", "d", "", "e"]
+    path = tmp_path / "t.csv"
+    data._write_csv(path, ("only",), [np.array(values, dtype=object)])
+    assert path.read_bytes() == rows_to_csv(("only",), ([v] for v in values))
+
+
+def test_header_only_table(tmp_path):
+    path = tmp_path / "t.csv"
+    data._write_csv(path, ("a", "b,c"), [np.array([], dtype=object), np.array([])])
+    assert path.read_bytes() == rows_to_csv(("a", "b,c"), [])
