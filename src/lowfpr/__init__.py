@@ -33,7 +33,6 @@ from .data import (
     filter_split,
     load_dataset,
     save_dataset,
-    subsample,
 )
 from .protocol import (
     ProtocolCurvePoint,

@@ -17,7 +17,6 @@ import numpy as np
 from . import adjust, analysis, protocol, synth
 from .data import DatasetError, _write_csv, filter_split, load_dataset, save_dataset
 from .rocmetrics import _budget_count
-from .uncertainty import compute_uncertainties
 
 DEFAULT_TARGET_GRID = (1e-2, 1e-3, 1e-4, 1e-5)
 

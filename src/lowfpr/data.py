@@ -1,12 +1,12 @@
-"""Per-sample ensemble prediction records: loading, validation, filtering, subsampling.
+"""Per-sample ensemble prediction records: loading, validation, filtering, writing.
 
 A dataset row is one sample scored by T ensemble members. Two on-disk formats
 are supported:
 
 * CSV with header ``sample_id,label,split,family,m0,...,m{T-1}`` (family empty
   for benign / untagged rows).
-* JSON Lines with keys ``id``, ``label``, ``split``, ``family`` (nullable) and
-  ``scores`` (array of T floats).
+* JSON Lines with keys ``id`` (a string or an integer), ``label``, ``split``,
+  ``family`` (a string, an integer or null) and ``scores`` (array of T floats).
 
 Each input is parsed and validated once. JSON Lines has one loader, the row
 path below; CSV has two. Its bulk path parses the file with one ``np.loadtxt``
@@ -27,8 +27,8 @@ formats. An unreadable or non-UTF-8 file raises DatasetError naming it.
 Datasets are immutable; all column arrays are read-only so downstream code can
 share them without copying. ``PredictionDataset(...)`` validates and copies
 its columns. No load validates twice: the loaders, ``filter_split`` and
-``subsample`` build their results from columns that are already valid through
-the private ``PredictionDataset._trusted``, which skips that validation.
+``_take`` build their results from columns that are already valid through the
+private ``PredictionDataset._trusted``, which skips that validation.
 
 Every CSV table the package writes, datasets and study results alike, goes
 through ``_write_csv``. Both writers format each row with one %-template
@@ -87,7 +87,7 @@ class PredictionDataset:
 
     def __post_init__(self) -> None:
         ids = np.array([str(x) for x in np.asarray(self.sample_ids).ravel()], dtype=object)
-        labels = np.asarray(self.labels).ravel().astype(np.int64)
+        labels = np.asarray(self.labels).ravel()  # checked before the int64 cast, which truncates 0.5 to 0
         splits = np.array([str(x) for x in np.asarray(self.splits).ravel()], dtype=object)
         families = np.array(
             [None if f is None else str(f) for f in np.asarray(self.families, dtype=object).ravel()],
@@ -104,7 +104,7 @@ class PredictionDataset:
                 raise DatasetError(f"{name} has length {col.shape[0]}, expected {n}")
         if (fault := _column_fault(ids, labels, splits, families, scores)) is not None:
             raise DatasetError(fault)
-        self._set_columns(ids, labels, splits, families, scores)
+        self._set_columns(ids, labels.astype(np.int64), splits, families, scores)
 
     def _set_columns(self, *columns: np.ndarray) -> None:
         for name, col in zip(_COLUMNS, columns, strict=True):
@@ -149,7 +149,7 @@ def _column_fault(ids, labels, splits, families, scores: np.ndarray) -> str | No
     bad = ~np.isin(labels, (0, 1))
     if bad.any():
         i = int(np.argmax(bad))
-        return f"label must be 0 or 1, got {labels[i]} for sample '{ids[i]}'"
+        return f"label must be 0 or 1, got {labels[i : i + 1].tolist()[0]!r} for sample '{ids[i]}'"
     bad = ~np.isin(splits, SPLIT_NAMES)
     if bad.any():
         i = int(np.argmax(bad))
@@ -228,29 +228,37 @@ def _csv_rows(path: Path) -> PredictionDataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file, expected a header row") from None
-        for k, name in enumerate(_FIXED_COLUMNS):
-            if k >= len(header) or header[k] != name:
-                got = header[k] if k < len(header) else "<missing>"
-                raise DatasetError(f"{path}: header column {k} must be '{name}', got '{got}'")
-        member_names = header[len(_FIXED_COLUMNS):]
-        if not member_names:
-            raise DatasetError(f"{path}: header has no member score columns (expected m0, m1, ...)")
-        for k, name in enumerate(member_names):
-            if name != f"m{k}":
-                raise DatasetError(f"{path}: header column {k + len(_FIXED_COLUMNS)} must be 'm{k}', got '{name}'")
+            return _csv_records(path, reader)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
 
-        def records():
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DatasetError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
-                yield lineno, row[0], row[1], row[2], row[3] or None, row[4:]
 
-        return _from_records(path, records(), "m{}", len(member_names))
+def _csv_records(path: Path, reader) -> PredictionDataset:
+    """Check a CSV reader's header, then hand its rows to ``_from_records``."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DatasetError(f"{path}: empty file, expected a header row") from None
+    for k, name in enumerate(_FIXED_COLUMNS):
+        if k >= len(header) or header[k] != name:
+            got = header[k] if k < len(header) else "<missing>"
+            raise DatasetError(f"{path}: header column {k} must be '{name}', got '{got}'")
+    member_names = header[len(_FIXED_COLUMNS):]
+    if not member_names:
+        raise DatasetError(f"{path}: header has no member score columns (expected m0, m1, ...)")
+    for k, name in enumerate(member_names):
+        if name != f"m{k}":
+            raise DatasetError(f"{path}: header column {k + len(_FIXED_COLUMNS)} must be 'm{k}', got '{name}'")
+
+    def records():
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DatasetError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
+            yield lineno, row[0], row[1], row[2], row[3] or None, row[4:]
+
+    return _from_records(path, records(), "m{}", len(member_names))
 
 
 def _jsonl_rows(path: Path) -> PredictionDataset:
@@ -268,10 +276,20 @@ def _jsonl_rows(path: Path) -> PredictionDataset:
                 sample_id, label, split, family, scores = obj["id"], obj["label"], obj["split"], obj["family"], obj["scores"]
             except KeyError as exc:
                 raise DatasetError(f"{path}: line {lineno}: missing key '{exc.args[0]}'") from None
+            if not _is_int_or_str(sample_id):
+                raise DatasetError(f"{path}: line {lineno}: field id must be a string or an integer, got {sample_id!r}")
+            if family is not None and not _is_int_or_str(family):
+                raise DatasetError(
+                    f"{path}: line {lineno}: field family must be a string, an integer or null, got {family!r}"
+                )
             yield lineno, str(sample_id), str(label), str(split), None if family is None else str(family), scores
 
     with open(path, encoding="utf-8") as fh:
         return _from_records(path, records(fh), "scores[{}]", None)
+
+
+def _is_int_or_str(value) -> bool:
+    return isinstance(value, (int, str)) and not isinstance(value, bool)
 
 
 def _from_records(path: Path, records, field_name: str, member_count: int | None) -> PredictionDataset:
@@ -409,25 +427,6 @@ def filter_split(ds: PredictionDataset, split: str) -> PredictionDataset:
     if split not in SPLIT_NAMES:
         raise ValueError(f"unknown split {split!r}, expected one of {SPLIT_NAMES}")
     return _take(ds, ds.splits == split)
-
-
-def subsample(ds: PredictionDataset, fraction: float, seed: int) -> PredictionDataset:
-    """Uniform subsample without replacement, deterministic for a given seed.
-
-    The subset size is round(fraction * n) under round-half-to-even, floored
-    at 1 for nonempty input. Sampling is not stratified; class balance drifts
-    at small fractions by design. fraction=1.0 keeps every record (the row
-    order is still permuted, identically for identical seeds).
-    """
-    return _take(ds, _subsample_rows(len(ds), fraction, seed))
-
-
-def _subsample_rows(n: int, fraction: float, seed: int) -> np.ndarray:
-    """The positions ``subsample`` keeps of n rows, in the order it keeps them."""
-    if not (0.0 < fraction <= 1.0):
-        raise ValueError(f"fraction must be in (0, 1], got {fraction!r}")
-    k = min(n, max(1, round(fraction * n)))
-    return np.random.Generator(np.random.Philox(key=seed)).permutation(n)[:k]
 
 
 def _take(ds: PredictionDataset, rows: np.ndarray) -> PredictionDataset:

@@ -11,7 +11,8 @@ protocol is the valid one with the test split on both sides.
 The subsampling study repeats the valid/invalid comparison with the validation
 set shrunk to a fraction of its size, showing how threshold estimates degrade,
 and at which point low FPR targets stop being estimable at all: where the
-budget admits no false positive (``rocmetrics._budget_count`` is 0).
+budget admits no false positive (``rocmetrics._budget_count`` is 0). One draw,
+``_cell_rows``, decides which validation rows each cell keeps.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PredictionDataset, _field_columns, _subsample_rows, _write_csv
+from .data import PredictionDataset, _field_columns, _write_csv
 from .rocmetrics import OperatingPoint, _budget_count, _check_target_fpr, _rates, _select
 
 
@@ -112,11 +113,15 @@ def relative_error_curve(val: PredictionDataset, test: PredictionDataset, target
     ]
 
 
-def _cell_seed(seed: int, fraction_index: int) -> int:
-    # Stable mix of (seed, fraction index) so cells stay independent and
-    # reproducible no matter how the grid is executed.
-    ss = np.random.SeedSequence([int(seed), int(fraction_index)])
-    return int(ss.generate_state(1, np.uint64)[0])
+def _cell_rows(n: int, fraction: float, seed: int, fraction_index: int) -> np.ndarray:
+    """The positions, in order, that the (fraction, seed) cell keeps of n validation rows.
+
+    round(fraction * n) of them under round-half-to-even, at least 1 when n > 0,
+    drawn by Philox keyed on a mix of (seed, fraction index).
+    """
+    key = np.random.SeedSequence([seed, fraction_index]).generate_state(1, np.uint64)[0]
+    k = max(1, round(fraction * n))
+    return np.random.Generator(np.random.Philox(key=int(key))).permutation(n)[:k]
 
 
 def subsampling_study(
@@ -132,14 +137,13 @@ def subsampling_study(
     Each cell subsamples the validation split (uniformly, so class balance
     drifts at small fractions), reselects thresholds and evaluates on the full
     test split. The validation mean-score vector is computed once: a cell
-    indexes it with the rows ``subsample`` would keep (both draw them through
-    ``_subsample_rows``), splits them by class and runs ``_carry``, the cell
-    ``relative_error_curve`` runs on the whole split. A target is attainable in
-    a cell when its budget admits a false positive among the reduced set's
-    negatives (``_budget_count`` is not 0, i.e. target >= 1/n_negatives) and
-    the selected threshold is finite.
-    Cells are independent; results are ordered by (fraction, seed, target) and
-    do not depend on the thread count.
+    indexes it with the rows ``_cell_rows`` draws, splits them by class and
+    runs ``_carry``, the cell ``relative_error_curve`` runs on the whole
+    split. A target is attainable in a cell when its budget admits a false
+    positive among the reduced set's negatives (``_budget_count`` is not 0,
+    i.e. target >= 1/n_negatives) and the selected threshold is finite.
+    Cells are independent and run on a pool of ``threads`` workers; results
+    are ordered by (fraction, seed, target) and do not depend on the thread count.
     """
     fractions = [float(f) for f in fractions]
     if not fractions:
@@ -159,7 +163,7 @@ def subsampling_study(
 
     def run_cell(cell: tuple[int, float, int]) -> list[StudyRow]:
         fraction_index, fraction, seed = cell
-        kept = _subsample_rows(val_scores.size, fraction, _cell_seed(seed, fraction_index))
+        kept = _cell_rows(val_scores.size, fraction, seed, fraction_index)
         valid = _carry(_class_scores(val_scores[kept], val_labels[kept]), test_classes, targets)
         return [
             StudyRow(fraction, seed, t, op.tpr, op.fpr, inv.tpr, _rel_error(inv.tpr, op.tpr), attainable)
@@ -167,11 +171,8 @@ def subsampling_study(
         ]
 
     cells = [(fi, f, s) for fi, f in enumerate(fractions) for s in seeds]
-    if threads == 1:
-        per_cell = [run_cell(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_cell = list(pool.map(run_cell, cells))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        per_cell = list(pool.map(run_cell, cells))
     return [row for rows in per_cell for row in rows]
 
 

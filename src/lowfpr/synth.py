@@ -29,8 +29,8 @@ from .data import DatasetError, PredictionDataset, _read_json
 # changes every dataset. Other streams of the same seed are independent of it.
 _DATA_STREAM = 0x64617461  # "data"
 
-_SEEN_FAMILY_COUNT = 8
-_NOVEL_FAMILY_COUNT = 4
+_SEEN_FAMILIES = np.array([f"fam_s{k}" for k in range(8)], dtype=object)
+_NOVEL_FAMILIES = np.array([f"fam_n{k}" for k in range(4)], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -179,12 +179,8 @@ def _generate_with(config: SynthConfig, rng: np.random.Generator) -> PredictionD
 
     families = np.full(n, None, dtype=object)
     n_seen_mal = n_core_mal + n_amb_mal
-    seen_ids = rng.integers(0, _SEEN_FAMILY_COUNT, size=n_seen_mal)
-    for i, fam in zip(range(nb, nb + n_seen_mal), seen_ids):
-        families[i] = f"fam_s{fam}"
-    novel_ids = rng.integers(0, _NOVEL_FAMILY_COUNT, size=n_novel)
-    for i, fam in zip(range(n - n_novel, n), novel_ids):
-        families[i] = f"fam_n{fam}"
+    families[nb : nb + n_seen_mal] = _SEEN_FAMILIES[rng.integers(0, _SEEN_FAMILIES.size, size=n_seen_mal)]
+    families[n - n_novel :] = _NOVEL_FAMILIES[rng.integers(0, _NOVEL_FAMILIES.size, size=n_novel)]
 
     labels = np.concatenate([np.zeros(nb, dtype=np.int64), np.ones(nm, dtype=np.int64)])
     ids = np.array([f"syn-{i}" for i in range(n)], dtype=object)

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -83,6 +84,16 @@ class TestValidate:
         path.write_text(f'{{"id": "a", "label": 0, "split": "test", "family": null, "scores": [{huge}]}}\n')
         assert run_cli(["validate", "--input", str(path), "--format", "jsonl"]) == 2
         assert capsys.readouterr().err == f"data error: {path}: line 1: field scores[0]={huge} outside [0, 1]\n"
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_field_over_the_csv_size_limit_exits_2(self, tmp_path, capsys, line):
+        lines = ["sample_id,label,split,family,m0", "a,0,train,,0.1", "b,0,train,,0.1", "c,0,train,,0.1"]
+        lines[line - 1] = "x" * 140_000 + lines[line - 1]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli(["validate", "--input", str(path)]) == 2
+        limit = csv.field_size_limit()
+        assert capsys.readouterr().err == f"data error: {path}: line {line}: field larger than field limit ({limit})\n"
 
     def test_usage_error_exits_1(self):
         assert run_cli(["validate"]) == 1

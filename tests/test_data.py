@@ -11,11 +11,12 @@ from lowfpr import data
 from lowfpr.data import (
     DatasetError,
     PredictionDataset,
+    _take,
     filter_split,
     load_dataset,
     save_dataset,
-    subsample,
 )
+from lowfpr.protocol import _cell_rows
 from lowfpr.synth import default_scenario, generate
 
 
@@ -166,46 +167,43 @@ class TestFilterSplit:
 
 
 class TestSubsample:
-    """Subsampling is seeded, size-exact under round-half-to-even, uniform."""
+    """The study's draw, ``protocol._cell_rows``: seeded, size-exact under round-half-to-even, uniform."""
 
     def test_round_half_to_even(self):
-        ds = make_dataset(n=10)
-        assert len(subsample(ds, 0.25, seed=0)) == 2  # 2.5 rounds to 2
-        assert len(subsample(ds, 0.35, seed=0)) == 4  # 3.5 rounds to 4
-        assert len(subsample(ds, 0.5, seed=0)) == 5
+        assert len(_cell_rows(10, 0.25, 0, 0)) == 2  # 2.5 rounds to 2
+        assert len(_cell_rows(10, 0.35, 0, 0)) == 4  # 3.5 rounds to 4
+        assert len(_cell_rows(10, 0.5, 0, 0)) == 5
 
     def test_at_least_one_record(self):
-        ds = make_dataset(n=9)
-        assert len(subsample(ds, 0.01, seed=1)) == 1
+        assert len(_cell_rows(9, 0.01, 1, 0)) == 1
 
     def test_same_seed_same_subset(self):
-        ds = make_dataset(n=50, seed=2)
-        a = subsample(ds, 0.3, seed=11)
-        b = subsample(ds, 0.3, seed=11)
-        assert list(a.sample_ids) == list(b.sample_ids)
-        c = subsample(ds, 0.3, seed=12)
-        assert list(a.sample_ids) != list(c.sample_ids)
+        a = _cell_rows(50, 0.3, 11, 2)
+        np.testing.assert_array_equal(a, _cell_rows(50, 0.3, 11, 2))
+        assert list(a) != list(_cell_rows(50, 0.3, 12, 2))
+        assert list(a) != list(_cell_rows(50, 0.3, 11, 3))
 
     def test_fraction_one_keeps_every_record(self):
-        ds = make_dataset(n=23, seed=4)
-        out = subsample(ds, 1.0, seed=9)
-        assert sorted(out.sample_ids) == sorted(ds.sample_ids)
-        out2 = subsample(ds, 1.0, seed=9)
-        assert list(out.sample_ids) == list(out2.sample_ids)
+        rows = _cell_rows(23, 1.0, 9, 0)
+        assert sorted(rows) == list(range(23))
+        np.testing.assert_array_equal(rows, _cell_rows(23, 1.0, 9, 0))
 
-    def test_fraction_bounds(self):
-        ds = make_dataset()
-        for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError, match="fraction"):
-                subsample(ds, bad, seed=0)
+    def test_draw_is_pinned(self):
+        # A Philox generator keyed on SeedSequence([seed, fraction index]) permutes the rows; the first k are kept.
+        for n, fraction, seed, fi in [(40, 0.5, 3, 0), (40, 0.5, 3, 1), (1000, 0.013, 7, 4), (5, 1.0, 0, 2)]:
+            key = int(np.random.SeedSequence([seed, fi]).generate_state(1, np.uint64)[0])
+            want = np.random.Generator(np.random.Philox(key=key)).permutation(n)[: round(fraction * n)]
+            np.testing.assert_array_equal(_cell_rows(n, fraction, seed, fi), want)
+        assert _cell_rows(10, 0.5, 3, 1).tolist() == [3, 7, 4, 2, 0]
 
     def test_rows_stay_aligned(self):
         ds = make_dataset(n=40, seed=8)
-        out = subsample(ds, 0.5, seed=3)
+        out = _take(ds, _cell_rows(len(ds), 0.5, 3, 0))
         lookup = {sid: i for i, sid in enumerate(ds.sample_ids)}
         for j, sid in enumerate(out.sample_ids):
             i = lookup[sid]
             assert out.labels[j] == ds.labels[i]
+            assert out.families[j] == ds.families[i]
             np.testing.assert_array_equal(out.scores[j], ds.scores[i])
 
 
@@ -234,7 +232,7 @@ class TestImmutability:
         ds = make_dataset(n=40, seed=6)
         path = tmp_path / f"d.{fmt}"
         save_dataset(ds, path, fmt)
-        derived = [load_dataset(path, fmt), filter_split(ds, "validation"), subsample(ds, 0.5, seed=1)]
+        derived = [load_dataset(path, fmt), filter_split(ds, "validation"), _take(ds, _cell_rows(len(ds), 0.5, 1, 0))]
         for got in derived:
             public = PredictionDataset(**{name: getattr(got, name) for name in COLUMNS})
             assert_same_columns(got, public)
@@ -255,7 +253,7 @@ class TestImmutability:
 
         monkeypatch.setattr(PredictionDataset, "__post_init__", revalidate)
         assert len(filter_split(ds, "validation")) == 30
-        assert len(subsample(ds, 0.5, seed=3)) == 15
+        assert len(_take(ds, _cell_rows(len(ds), 0.5, 3, 0))) == 15
         assert len(load_dataset(path)) == 30
         assert len(load_dataset(jsonl, "jsonl")) == 30
         assert_same_columns(load_dataset(quoted), ds)  # quotes send a CSV down the row path
@@ -437,6 +435,13 @@ class TestLoaderEquivalence:
             "numeric ids": [r(7), r("7")],
             "empty family tag": [r(family="")],
             "numeric family": [r(label=1, family=3)],
+            "null id": [r(None)],
+            "object id": [r({"a": 1})],
+            "bool id": [r(True)],
+            "float id": [r(7.0)],
+            "list family": [r(label=1, family=["x"])],
+            "bool family": [r(label=1, family=False)],
+            "object family": [r(label=1, family={})],
             "int and bool scores": [r(scores=(0, 1)), r("b", scores=(True, 0.5))],
             "string scores": [r(scores=(" 0.5", "1_0")), r("b", scores=("+.5", "1e-400"))],
             "tiny score": ['{"id": "a", "label": 0, "split": "train", "family": null, "scores": [1e-400, 0.5]}'],
@@ -478,6 +483,13 @@ class TestLoaderEquivalence:
         "numeric ids": (DatasetError, "{path}: line 2: duplicate sample_id '7' (first seen on line 1)"),
         "empty family tag": (DatasetError, "{path}: line 1: benign sample 'a' carries family tag ''"),
         "numeric family": 1,
+        "null id": (DatasetError, "{path}: line 1: field id must be a string or an integer, got None"),
+        "object id": (DatasetError, "{path}: line 1: field id must be a string or an integer, got {{'a': 1}}"),
+        "bool id": (DatasetError, "{path}: line 1: field id must be a string or an integer, got True"),
+        "float id": (DatasetError, "{path}: line 1: field id must be a string or an integer, got 7.0"),
+        "list family": (DatasetError, "{path}: line 1: field family must be a string, an integer or null, got ['x']"),
+        "bool family": (DatasetError, "{path}: line 1: field family must be a string, an integer or null, got False"),
+        "object family": (DatasetError, "{path}: line 1: field family must be a string, an integer or null, got {{}}"),
         "int and bool scores": 2,
         "string scores": (DatasetError, "{path}: line 1: field scores[1]='1_0' outside [0, 1]"),
         "tiny score": 1,
@@ -598,6 +610,12 @@ class TestColumnRules:
             "line 4: label must be 0 or 1, got '2'",
             "line 3: label must be 0 or 1, got '2'",
         ),
+        "fractional label": (
+            ("c", 0.5, "train", None, (0.5, 0.5)),
+            "label must be 0 or 1, got 0.5 for sample 'c'",
+            "line 4: label must be 0 or 1, got '0.5'",
+            "line 3: label must be 0 or 1, got '0.5'",
+        ),
         "split": (
             ("c", 0, "dev", None, (0.5, 0.5)),
             "unknown split 'dev' for sample 'c'",
@@ -659,3 +677,16 @@ class TestColumnRules:
             load_dataset(path, fmt)
         assert str(exc.value) == f"{path}: {csv_message if fmt == 'csv' else jsonl_message}"
         assert row_path == [path]
+
+    def test_bool_and_whole_float_labels_accepted(self):
+        for labels in ([False, True], [0.0, 1.0]):
+            ds = PredictionDataset(
+                sample_ids=["a", "b"], labels=labels, splits=["train", "test"], families=[None, "famX"], scores=[[0.1], [0.9]]
+            )
+            assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("label, shown", [("0", "'0'"), (None, "None"), (float("nan"), "nan"), (np.int8(3), "3")])
+    def test_label_message_shows_the_raw_value(self, label, shown):
+        with pytest.raises(DatasetError) as exc:
+            PredictionDataset(sample_ids=["a"], labels=[label], splits=["train"], families=[None], scores=[[0.1]])
+        assert str(exc.value) == f"label must be 0 or 1, got {shown} for sample 'a'"

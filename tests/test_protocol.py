@@ -4,11 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from lowfpr.data import PredictionDataset, _subsample_rows, filter_split, subsample
+from lowfpr.data import PredictionDataset, _take, filter_split
 from lowfpr.protocol import (
     ProtocolCurvePoint,
     StudyRow,
-    _cell_seed,
+    _cell_rows,
     _class_scores,
     _mean_scores,
     _rel_error,
@@ -183,7 +183,7 @@ class TestSubsamplingStudy:
         assert serial == threaded
 
     def test_cells_match_public_composition(self, splits):
-        """Each cell equals subsample -> mean scores -> select_threshold -> evaluate_at_threshold."""
+        """Each cell equals the drawn rows' dataset -> mean scores -> select_threshold -> evaluate_at_threshold."""
         val, test = splits
         one_row = 1e-9
         # 1/n_neg: at fraction 1.0 the budget admits exactly one false positive, the attainable boundary
@@ -193,7 +193,7 @@ class TestSubsamplingStudy:
         expected = []
         for fi, f in enumerate(fractions):
             for s in seeds:
-                scores, labels = _mean_scores(subsample(val, f, _cell_seed(s, fi)))
+                scores, labels = _mean_scores(_take(val, _cell_rows(len(val), f, s, fi)))
                 n_neg = int((labels == 0).sum())
                 for t, inv in zip(targets, invalid_ops):
                     selected = select_threshold(scores, labels, t)
@@ -202,24 +202,19 @@ class TestSubsamplingStudy:
                     expected.append(StudyRow(f, s, t, op.tpr, op.fpr, inv.tpr, _rel_error(inv.tpr, op.tpr), attainable))
         assert any(r.attainable for r in expected) and not all(r.attainable for r in expected)
         with pytest.raises(ValueError) as public:
-            _class_scores(*_mean_scores(subsample(val, one_row, _cell_seed(seeds[0], 1))))
+            _class_scores(*_mean_scores(_take(val, _cell_rows(len(val), one_row, seeds[0], 1))))
         for threads in (1, 3):
             assert subsampling_study(val, test, fractions, targets, seeds, threads=threads) == expected
             with pytest.raises(ValueError) as exc:
                 subsampling_study(val, test, [1.0, one_row], targets, seeds, threads=threads)
             assert str(exc.value) == str(public.value) == "protocol evaluation needs both classes present"
-        for f in (*fractions, one_row):
-            for s in seeds:
-                kept = _subsample_rows(len(val), f, s)
-                assert list(val.sample_ids[kept]) == list(subsample(val, f, s).sample_ids)
-        assert len(subsample(val, one_row, seeds[0])) == 1
+        assert len(_cell_rows(len(val), one_row, seeds[0], 1)) == 1
 
     def test_argument_validation(self, splits):
         val, test = splits
-        with pytest.raises(ValueError):
-            subsampling_study(val, test, [0.0], [1e-2], seeds=[0])
-        with pytest.raises(ValueError):
-            subsampling_study(val, test, [1.5], [1e-2], seeds=[0])
+        for bad in (0.0, -0.1, 1.5):
+            with pytest.raises(ValueError, match=re.escape(f"fraction must be in (0, 1], got {bad!r}")):
+                subsampling_study(val, test, [0.5, bad], [1e-2], seeds=[0])
         with pytest.raises(ValueError):
             subsampling_study(val, test, [0.5], [1e-2], seeds=[])
         with pytest.raises(ValueError):
