@@ -1,28 +1,41 @@
 # Decomposing ensemble disagreement into aleatoric and epistemic parts.
 
+import math
+
 import numpy as np
 
-from lowfpr.analysis import HistogramSpec, histogram
-from lowfpr.data import filter_split
+from lowfpr.data import PredictionDataset, filter_split
 from lowfpr.synth import SynthConfig, generate
-from lowfpr.uncertainty import binary_entropy, compute_uncertainties, uncertainty_triple
+from lowfpr.uncertainty import compute_uncertainties
 
 # ## Single samples
 
-# Five members that all agree: the prediction is uncertain (p near 0.5)
-# but the members are unanimous, so everything is aleatoric.
-agree = uncertainty_triple([0.55, 0.55, 0.55, 0.55, 0.55])
-print("unanimous members  ", agree)
-
-# Total disagreement: the mean is 0.5 but every member is confident.
-# All of the entropy is epistemic.
-disagree = uncertainty_triple([1.0, 0.0, 1.0, 0.0])
-print("opposed members    ", disagree)
-
-mixed = uncertainty_triple([0.9, 0.6, 0.8, 0.3, 0.7])
-print("mixed members      ", mixed)
-print("identity holds:", abs(mixed.epistemic - (mixed.predictive_entropy - mixed.aleatoric)) < 1e-12)
-print("entropy ceiling  ln 2 =", binary_entropy(0.5))
+# Each case is one row of a small dataset; compute_uncertainties decomposes
+# every row on its own.
+cases = {
+    # Four members that all agree: the prediction is uncertain (p near 0.5)
+    # but the members are unanimous, so everything is aleatoric.
+    "unanimous members": [0.55, 0.55, 0.55, 0.55],
+    # Total disagreement: the mean is 0.5 but every member is confident.
+    # All of the entropy is epistemic.
+    "opposed members": [1.0, 0.0, 1.0, 0.0],
+    "mixed members": [0.9, 0.6, 0.8, 0.3],
+}
+singles = compute_uncertainties(
+    PredictionDataset(
+        sample_ids=list(cases),
+        labels=[0] * len(cases),
+        splits=["test"] * len(cases),
+        families=[None] * len(cases),
+        scores=list(cases.values()),
+    )
+)
+print(f"{'':20}{'predictive':>12}{'aleatoric':>12}{'epistemic':>12}")
+for i, name in enumerate(cases):
+    print(f"{name:20}{singles.predictive_entropy[i]:12.4f}{singles.aleatoric[i]:12.4f}{singles.epistemic[i]:12.4f}")
+gap = np.abs(singles.epistemic - (singles.predictive_entropy - singles.aleatoric))
+print("identity holds:", bool(np.all(gap < 1e-12)))
+print("entropy ceiling  ln 2 =", math.log(2))
 
 # ## A whole dataset
 
@@ -44,9 +57,9 @@ print("mean aleatoric         ", round(float(table.aleatoric.mean()), 4))
 print("mean epistemic         ", round(float(table.epistemic.mean()), 4))
 
 # The epistemic histogram is bimodal: quiet core, noisy subpopulation.
-result = histogram(table.epistemic, HistogramSpec(bin_count=10))
+counts, edges = np.histogram(table.epistemic, bins=10, range=(0, math.log(2)))
 print()
 print("epistemic histogram over [0, ln 2]")
-for k, count in enumerate(result.values):
-    lo, hi = result.edges[k], result.edges[k + 1]
-    print(f"  [{lo:.3f}, {hi:.3f})  {'#' * int(np.ceil(50 * count / result.values.max()))} {count}")
+for k, count in enumerate(counts):
+    lo, hi = edges[k], edges[k + 1]
+    print(f"  [{lo:.3f}, {hi:.3f})  {'#' * int(np.ceil(50 * count / counts.max()))} {count}")

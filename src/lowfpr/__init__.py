@@ -18,11 +18,8 @@ from .adjust import (
 from .analysis import (
     ComparisonRow,
     GroupSplit,
-    HistogramResult,
-    HistogramSpec,
     WilcoxonResult,
     ensemble_vs_members,
-    histogram,
     uncertainty_by_correctness,
     uncertainty_by_novelty,
     wilcoxon_signed_rank,
@@ -61,10 +58,7 @@ from .synth import (
 )
 from .uncertainty import (
     UncertaintyTable,
-    UncertaintyTriple,
-    binary_entropy,
     compute_uncertainties,
-    uncertainty_triple,
 )
 
 __version__ = "0.1.0"

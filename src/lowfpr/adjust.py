@@ -216,6 +216,14 @@ class CalibrationResult:
                 raise DatasetError(f"calibration key {key!r} is NaN")
             return value
 
+        def integer(minimum: int) -> Callable:
+            def convert(value):
+                if type(value) is not int or value < minimum:  # a float or bool would be truncated
+                    raise ValueError(f"must be an integer >= {minimum}, got {value!r}")
+                return value
+
+            return convert
+
         variant = field("variant", Variant)
         threshold = field("threshold")
         multiplier = field("multiplier")
@@ -227,9 +235,9 @@ class CalibrationResult:
             target_fpr=field("target_fpr", lambda value: _check_target_fpr(float(value))),
             fit_fpr_multiplier=multiplier,
             achieved_val=OperatingPoint(threshold, field("validation_tpr"), field("validation_fpr")),
-            sweeps_used=field("sweeps_used", int),
-            seed=field("seed", int),
-            member_count=field("member_count", int),
+            sweeps_used=field("sweeps_used", integer(0)),
+            seed=field("seed", integer(0)),
+            member_count=field("member_count", integer(1)),
         )
 
 

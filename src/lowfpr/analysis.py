@@ -1,5 +1,5 @@
-"""Comparative analyses: ensemble versus members, uncertainty splits,
-a self-contained Wilcoxon signed-rank test and histogram binning.
+"""Comparative analyses: ensemble versus members, uncertainty splits and
+a self-contained Wilcoxon signed-rank test.
 """
 
 from __future__ import annotations
@@ -193,53 +193,3 @@ def wilcoxon_signed_rank(paired_diffs) -> WilcoxonResult:
     else:
         p = _normal_two_sided(ranks, w_plus, n)
     return WilcoxonResult(statistic=w_plus, p_value=p, n=n, degenerate=False)
-
-
-@dataclass(frozen=True)
-class HistogramSpec:
-    """bin_count bins over [lo, hi); the final bin also includes hi."""
-
-    bin_count: int
-    lo: float = 0.0
-    hi: float = math.log(2.0)
-    normalization: str = "count"
-
-    def __post_init__(self) -> None:
-        if self.bin_count < 1:
-            raise ValueError("bin_count must be at least 1")
-        if not (self.lo < self.hi):
-            raise ValueError(f"histogram range must satisfy lo < hi, got ({self.lo!r}, {self.hi!r})")
-        if self.normalization not in ("count", "density"):
-            raise ValueError(f"normalization must be 'count' or 'density', got {self.normalization!r}")
-
-
-@dataclass(frozen=True)
-class HistogramResult:
-    edges: np.ndarray
-    values: np.ndarray
-    underflow: int
-    overflow: int
-    normalization: str
-
-
-def histogram(values, spec: HistogramSpec) -> HistogramResult:
-    """Bin values using the given HistogramSpec; out-of-range values go to underflow/overflow.
-
-    Density normalization divides by (total count * bin width) including the
-    out-of-range values, so densities * width sum to the in-range fraction.
-    """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    counts, edges = np.histogram(v, bins=spec.bin_count, range=(spec.lo, spec.hi))
-    underflow = int(np.count_nonzero(v < spec.lo))
-    overflow = int(np.count_nonzero(v > spec.hi))
-    if spec.normalization == "density":
-        width = (spec.hi - spec.lo) / spec.bin_count
-        out = counts / (v.size * width) if v.size else counts.astype(np.float64)
-    else:
-        out = counts
-    out = np.asarray(out)
-    out.setflags(write=False)
-    edges.setflags(write=False)
-    return HistogramResult(
-        edges=edges, values=out, underflow=underflow, overflow=overflow, normalization=spec.normalization
-    )

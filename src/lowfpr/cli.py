@@ -96,7 +96,7 @@ def cmd_validate(input_path: str, fmt: str) -> None:
 )
 @click.option("--target-fpr", type=float, required=True, help="False-positive-rate budget for the fit.")
 @click.option("--multiplier", type=float, default=0.9, show_default=True, help="Fit-time fraction of the FPR budget.")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(0, 2**128 - 1), default=0, show_default=True)
 @click.option("--sweep-tol", type=float, default=1e-6, show_default=True, help="Per-sweep TPR improvement cutoff.")
 @click.option("--max-sweeps", type=int, default=50, show_default=True)
 def cmd_fit(

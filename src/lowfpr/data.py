@@ -147,6 +147,8 @@ def _column_fault(ids, labels, splits, families, scores: np.ndarray) -> str | No
     known, scores lie in [0, 1], benign rows carry no family tag, ids are unique.
     """
     bad = ~np.isin(labels, (0, 1))
+    if labels.dtype.kind in "cO":  # 1+0j == 1, yet a complex number is no label
+        bad |= np.array([isinstance(x, (complex, np.complexfloating)) for x in labels.tolist()], dtype=bool)
     if bad.any():
         i = int(np.argmax(bad))
         return f"label must be 0 or 1, got {labels[i : i + 1].tolist()[0]!r} for sample '{ids[i]}'"

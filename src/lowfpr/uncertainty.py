@@ -10,6 +10,11 @@ malicious class:
 
 Both components are bounded by ln 2, and 0 <= aleatoric <= predictive holds up
 to floating-point cancellation.
+
+``compute_uncertainties`` is the one decomposition call: it takes a
+``PredictionDataset``, whose constructor has already checked that every score
+lies in [0, 1], and returns one ``UncertaintyTable`` row per sample. A single
+sample is decomposed as a one-row dataset.
 """
 
 from __future__ import annotations
@@ -30,75 +35,6 @@ def _entropy_unchecked(p: np.ndarray) -> np.ndarray:
     safe = np.where(interior, p, 0.5)
     h = -(safe * np.log(safe) + (1.0 - safe) * np.log1p(-safe))
     return np.where(interior, h, 0.0)
-
-
-def _check_unit_interval(arr: np.ndarray, what: str) -> None:
-    with np.errstate(invalid="ignore"):
-        bad = ~((arr >= 0.0) & (arr <= 1.0))
-    if np.any(bad):
-        offender = arr[bad].ravel()[0] if arr.ndim else arr
-        raise ValueError(f"{what} {offender!r} outside [0, 1]")
-
-
-def binary_entropy(p):
-    """Entropy of Bernoulli(p) in nats, with ``0 log 0`` taken as 0.
-
-    Accepts a scalar or an array; raises ValueError outside [0, 1].
-    """
-    arr = np.asarray(p, dtype=np.float64)
-    _check_unit_interval(arr, "probability")
-    out = _entropy_unchecked(arr)
-    if arr.ndim == 0:
-        return float(out)
-    return out
-
-
-@dataclass(frozen=True)
-class UncertaintyTriple:
-    predictive_entropy: float
-    aleatoric: float
-    epistemic: float
-
-
-def _decompose(scores: np.ndarray, sample_ids=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared core over a (n, T) score matrix. Returns yhat and the triple.
-
-    Negative epistemic values within the cancellation floor are clamped to
-    zero (with aleatoric set to predictive); one below it raises, naming the
-    sample when ``sample_ids`` is given.
-    """
-    yhat = scores.mean(axis=1)
-    predictive = _entropy_unchecked(yhat)
-    aleatoric = _entropy_unchecked(scores).mean(axis=1)
-    # identical members carry zero disagreement; row-mean rounding must not
-    # leak ULP-level noise into the decomposition
-    constant = scores.min(axis=1) == scores.max(axis=1)
-    aleatoric[constant] = predictive[constant]
-    epistemic = predictive - aleatoric
-    bad = epistemic < _EPISTEMIC_FLOOR
-    if bad.any():
-        i = int(np.argmax(bad))
-        sample = "" if sample_ids is None else f" for sample '{sample_ids[i]}'"
-        raise RuntimeError(
-            f"epistemic uncertainty {float(epistemic[i])!r} below the cancellation floor{sample}; "
-            "decomposition is inconsistent"
-        )
-    # cancellation noise: restore aleatoric <= predictive, which holds
-    # mathematically by Jensen's inequality
-    clipped = epistemic < 0.0
-    aleatoric[clipped] = predictive[clipped]
-    np.maximum(epistemic, 0.0, out=epistemic)
-    return yhat, predictive, aleatoric, epistemic
-
-
-def uncertainty_triple(member_scores) -> UncertaintyTriple:
-    """Decompose one sample's member scores into the three uncertainty terms."""
-    arr = np.asarray(member_scores, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("member_scores is empty")
-    _check_unit_interval(arr, "member score")
-    _, predictive, aleatoric, epistemic = _decompose(arr.reshape(1, -1))
-    return UncertaintyTriple(float(predictive[0]), float(aleatoric[0]), float(epistemic[0]))
 
 
 @dataclass(frozen=True)
@@ -126,10 +62,35 @@ class UncertaintyTable:
 
 
 def compute_uncertainties(ds: PredictionDataset) -> UncertaintyTable:
-    """Decompose every sample of a dataset. The dataset must be nonempty."""
+    """Decompose every sample of a dataset. The dataset must be nonempty.
+
+    Negative epistemic values within the cancellation floor are clamped to
+    zero (with aleatoric set to predictive); one below it raises, naming the
+    sample.
+    """
     if len(ds) == 0:
         raise ValueError("dataset is empty")
-    yhat, predictive, aleatoric, epistemic = _decompose(ds.scores, ds.sample_ids)
+    scores = ds.scores
+    yhat = scores.mean(axis=1)
+    predictive = _entropy_unchecked(yhat)
+    aleatoric = _entropy_unchecked(scores).mean(axis=1)
+    # identical members carry zero disagreement; row-mean rounding must not
+    # leak ULP-level noise into the decomposition
+    constant = scores.min(axis=1) == scores.max(axis=1)
+    aleatoric[constant] = predictive[constant]
+    epistemic = predictive - aleatoric
+    bad = epistemic < _EPISTEMIC_FLOOR
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise RuntimeError(
+            f"epistemic uncertainty {float(epistemic[i])!r} below the cancellation floor "
+            f"for sample '{ds.sample_ids[i]}'; decomposition is inconsistent"
+        )
+    # cancellation noise: restore aleatoric <= predictive, which holds
+    # mathematically by Jensen's inequality
+    clipped = epistemic < 0.0
+    aleatoric[clipped] = predictive[clipped]
+    np.maximum(epistemic, 0.0, out=epistemic)
     for col in (yhat, predictive, aleatoric, epistemic):
         col.setflags(write=False)
     return UncertaintyTable(yhat=yhat, predictive_entropy=predictive, aleatoric=aleatoric, epistemic=epistemic)

@@ -368,8 +368,15 @@ class TestCalibrationSerialization:
             (lambda d: dict(d, alpha=None), "'alpha'"),
             (lambda d: dict(d, variant="lv9"), "'variant'"),
             (lambda d: dict(d, seed=[1]), "'seed'"),
+            (lambda d: dict(d, member_count=5.9), "'member_count': must be an integer >= 1, got 5.9"),
+            (lambda d: dict(d, member_count=0), "'member_count': must be an integer >= 1, got 0"),
+            (lambda d: dict(d, sweeps_used=True), "'sweeps_used': must be an integer >= 0, got True"),
+            (lambda d: dict(d, sweeps_used=-1), "'sweeps_used': must be an integer >= 0, got -1"),
+            (lambda d: dict(d, seed=-3), "'seed': must be an integer >= 0, got -3"),
+            (lambda d: dict(d, seed=7.0), "'seed': must be an integer >= 0, got 7.0"),
         ],
-        ids=["not-an-object", "missing-key", "non-numeric", "nan-threshold", "alpha-not-list", "unknown-variant", "int-not-number"],
+        ids=["not-an-object", "missing-key", "non-numeric", "nan-threshold", "alpha-not-list", "unknown-variant", "int-not-number",
+             "member-count-fractional", "member-count-zero", "sweeps-bool", "sweeps-negative", "seed-negative", "seed-float"],
     )
     def test_malformed_file_names_file_and_key(self, tmp_path, hetero_val, edit, key):
         val, _ = hetero_val

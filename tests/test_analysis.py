@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from lowfpr.analysis import (
-    HistogramSpec,
     ensemble_vs_members,
-    histogram,
     uncertainty_by_correctness,
     uncertainty_by_novelty,
     wilcoxon_signed_rank,
@@ -122,48 +120,6 @@ def _approx_p(diffs):
     ranks = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     return _normal_two_sided(ranks, w_plus, d.size)
-
-
-class TestHistogram:
-    def test_uniform_grid_fills_evenly(self):
-        hi = math.log(2.0)
-        values = np.linspace(0.0, hi, 100, endpoint=False)
-        result = histogram(values, HistogramSpec(bin_count=10))
-        assert result.values.tolist() == [10] * 10
-        assert result.underflow == 0 and result.overflow == 0
-        assert result.edges[0] == 0.0 and result.edges[-1] == pytest.approx(hi)
-
-    def test_last_bin_includes_upper_edge(self):
-        result = histogram([0.0, math.log(2.0)], HistogramSpec(bin_count=4))
-        assert result.values[0] == 1 and result.values[-1] == 1
-        assert result.overflow == 0
-
-    def test_out_of_range_tracked_separately(self):
-        result = histogram([-0.5, 0.1, 0.2, 5.0, 9.0], HistogramSpec(bin_count=2))
-        assert result.underflow == 1
-        assert result.overflow == 2
-        assert int(result.values.sum()) == 2
-
-    def test_density_sums_to_in_range_fraction(self):
-        rng = np.random.default_rng(34)
-        values = rng.uniform(-0.2, 1.0, 1000)
-        spec = HistogramSpec(bin_count=7, normalization="density")
-        result = histogram(values, spec)
-        width = (spec.hi - spec.lo) / spec.bin_count
-        in_range = 1.0 - (result.underflow + result.overflow) / values.size
-        assert float(result.values.sum() * width) == pytest.approx(in_range, abs=1e-12)
-
-    def test_custom_range(self):
-        result = histogram([1.5, 2.5], HistogramSpec(bin_count=2, lo=1.0, hi=3.0))
-        assert result.values.tolist() == [1, 1]
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            HistogramSpec(bin_count=0)
-        with pytest.raises(ValueError):
-            HistogramSpec(bin_count=3, lo=1.0, hi=1.0)
-        with pytest.raises(ValueError):
-            HistogramSpec(bin_count=3, normalization="fraction")
 
 
 class TestEnsembleVsMembers:

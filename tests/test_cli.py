@@ -389,9 +389,12 @@ class TestEval:
             (lambda d: dict(d, target_fpr=0), "'target_fpr': target_fpr must be in (0, 1), got 0.0"),
             (lambda d: dict(d, multiplier=0), "'multiplier' must be positive, got 0.0"),
             (lambda d: dict(d, multiplier=-0.9), "'multiplier' must be positive, got -0.9"),
+            (lambda d: dict(d, member_count=5.9), "'member_count': must be an integer >= 1, got 5.9"),
+            (lambda d: dict(d, sweeps_used=True), "'sweeps_used': must be an integer >= 0, got True"),
+            (lambda d: dict(d, seed=-3), "'seed': must be an integer >= 0, got -3"),
         ],
         ids=["not-an-object", "missing-key", "non-numeric", "nan-threshold", "target-above-one", "target-zero",
-             "multiplier-zero", "multiplier-negative"],
+             "multiplier-zero", "multiplier-negative", "member-count-fractional", "sweeps-bool", "seed-negative"],
     )
     def test_malformed_calibration_exits_2(self, dataset_csv, tmp_path, capsys, edit, key):
         outdir = tmp_path / "out"
@@ -505,8 +508,22 @@ class TestStudy:
             io = ["--input", str(dataset_csv), "--output-dir", str(tmp_path)]
         assert run_cli(args + io + ["--seed", value]) == 1
         err = capsys.readouterr().err
-        assert f"Invalid value for '--seed': {value} is not in the range x>=0." in err
+        bounds = f"0<=x<={2**128 - 1}" if args[0] == "fit" else "x>=0"
+        assert f"Invalid value for '--seed': {value} is not in the range {bounds}." in err
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["config.json", "data.csv"])
+
+    def test_fit_seed_past_philox_key_is_usage_error(self, dataset_csv, tmp_path, capsys):
+        # the fit seeds a Philox key, which must be below 2**128
+        args = ["fit", "--input", str(dataset_csv), "--variant", "g+lv2", "--target-fpr", "0.01", "--max-sweeps", "1"]
+        assert run_cli(args + ["--output-dir", str(tmp_path / "past"), "--seed", str(2**128)]) == 1
+        err = capsys.readouterr().err
+        assert f"Invalid value for '--seed': {2**128} is not in the range 0<=x<={2**128 - 1}." in err
+        assert not (tmp_path / "past").exists()
+        assert run_cli(args + ["--output-dir", str(tmp_path / "max"), "--seed", str(2**128 - 1)]) == 0
+        path = tmp_path / "max" / "calibration_g+lv2_0.01.json"
+        assert json.loads(path.read_text())["seed"] == 2**128 - 1
+        assert run_cli(["eval", "--input", str(dataset_csv), "--output-dir", str(tmp_path / "max"),
+                        "--calibration", str(path)]) == 0
 
     def test_table1_compares_models(self, dataset_csv, tmp_path):
         outdir = tmp_path / "out"

@@ -685,6 +685,15 @@ class TestColumnRules:
             )
             assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1]
 
+    @pytest.mark.parametrize(
+        "labels", [[1 + 0j, 0], np.array([1 + 0j, 0], dtype=object)], ids=["complex", "object-holding-complex"]
+    )
+    def test_complex_labels_rejected(self, labels):
+        # 1+0j == 1, so only a kind check keeps it out; the int64 cast would drop the imaginary part
+        with pytest.raises(DatasetError) as exc:
+            PredictionDataset(sample_ids=["a", "b"], labels=labels, splits=["train", "test"], families=[None, None], scores=[[0.9], [0.1]])
+        assert str(exc.value) == "label must be 0 or 1, got (1+0j) for sample 'a'"
+
     @pytest.mark.parametrize("label, shown", [("0", "'0'"), (None, "None"), (float("nan"), "nan"), (np.int8(3), "3")])
     def test_label_message_shows_the_raw_value(self, label, shown):
         with pytest.raises(DatasetError) as exc:

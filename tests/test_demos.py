@@ -1,0 +1,21 @@
+"""Smoke test: every Python demo runs to completion against the imported package."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("0[1-7]_*.py"))
+
+
+def test_demos_found():
+    assert [d.name[:2] for d in DEMOS] == [f"0{k}" for k in range(1, 8)]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_exits_0(demo, tmp_path, cli_env):
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=cli_env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert list(tmp_path.iterdir()) == []
