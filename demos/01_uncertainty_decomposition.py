@@ -51,7 +51,7 @@ config = SynthConfig(
 )
 table = compute_uncertainties(filter_split(generate(config), "test"))
 print()
-print(f"{len(table)} test samples")
+print(f"{table.yhat.size} test samples")
 print("mean predictive entropy", round(float(table.predictive_entropy.mean()), 4))
 print("mean aleatoric         ", round(float(table.aleatoric.mean()), 4))
 print("mean epistemic         ", round(float(table.epistemic.mean()), 4))

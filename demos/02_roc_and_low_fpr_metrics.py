@@ -18,7 +18,7 @@ scores = test.scores.mean(axis=1)
 labels = test.labels
 
 curve = roc_curve(scores, labels)
-print(f"roc curve: {len(curve)} operating points")
+print(f"roc curve: {curve.thresholds.size} operating points")
 print("auc              ", round(auc(curve), 4))
 
 # Overall AUC hides what happens at deployable FPRs. The partial AUC

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import DatasetError, PredictionDataset, _read_json
+from .data import DatasetError, PredictionDataset, _is_number, _read_json
 from .rocmetrics import OperatingPoint, _budget_count, _check_target_fpr, _select, combined_metric, evaluate_at_threshold
 from .rocmetrics import select_threshold  # noqa: F401  (kept as adjust.select_threshold: perfbench's tracer test wraps it)
 from .uncertainty import compute_uncertainties
@@ -205,12 +205,17 @@ class CalibrationResult:
         if not isinstance(d, dict):
             raise DatasetError(f"calibration must be a JSON object, got {type(d).__name__}")
 
-        def field(key: str, convert: Callable = float):
+        def number(value) -> float:
+            if not _is_number(value):
+                raise ValueError(f"must be a number, got {value!r}")
+            return float(value)
+
+        def field(key: str, convert: Callable = number):
             if key not in d:
                 raise DatasetError(f"calibration is missing key {key!r}")
             try:
                 value = convert(d[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
                 raise DatasetError(f"calibration key {key!r}: {exc}") from None
             if isinstance(value, float) and math.isnan(value):
                 raise DatasetError(f"calibration key {key!r} is NaN")
@@ -225,14 +230,14 @@ class CalibrationResult:
             return convert
 
         variant = field("variant", Variant)
-        threshold = field("threshold")
+        threshold = field("threshold", lambda value: math.inf if value == "inf" else number(value))
         multiplier = field("multiplier")
         if multiplier <= 0.0:
             raise DatasetError(f"calibration key 'multiplier' must be positive, got {multiplier!r}")
         return cls(
-            params=field("alpha", lambda alpha: AdjustmentParams(variant, tuple(alpha))),
+            params=field("alpha", lambda alpha: AdjustmentParams(variant, tuple(map(number, alpha)))),
             global_threshold=threshold,
-            target_fpr=field("target_fpr", lambda value: _check_target_fpr(float(value))),
+            target_fpr=field("target_fpr", lambda value: _check_target_fpr(number(value))),
             fit_fpr_multiplier=multiplier,
             achieved_val=OperatingPoint(threshold, field("validation_tpr"), field("validation_fpr")),
             sweeps_used=field("sweeps_used", integer(0)),

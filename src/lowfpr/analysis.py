@@ -1,5 +1,8 @@
 """Comparative analyses: ensemble versus members, uncertainty splits and
 a self-contained Wilcoxon signed-rank test.
+
+An uncertainty split is a ``GroupSplit``: two labeled groups of sample ids,
+each with its values of the one measure the caller names.
 """
 
 from __future__ import annotations
@@ -26,14 +29,12 @@ class ComparisonRow:
     is_ensemble: bool
 
 
-def ensemble_vs_members(
-    ds: PredictionDataset, fpr_max: float, accuracy_threshold: float = 0.5
-) -> tuple[ComparisonRow, ComparisonRow]:
+def ensemble_vs_members(ds: PredictionDataset, fpr_max: float) -> tuple[ComparisonRow, ComparisonRow]:
     """Score the ensemble mean against the average individual member.
 
     Returns (ensemble_row, member_row) where the member row holds each metric
-    averaged over the T members. Requires T >= 2; with one member there is
-    nothing to ensemble.
+    averaged over the T members; accuracy is taken at the threshold 0.5.
+    Requires T >= 2; with one member there is nothing to ensemble.
     """
     if ds.member_count < 2:
         raise ValueError("ensemble comparison needs at least 2 members")
@@ -41,7 +42,7 @@ def ensemble_vs_members(
 
     def metrics(scores: np.ndarray) -> tuple[float, float, float]:
         curve = roc_curve(scores, labels)
-        return accuracy(scores, labels, accuracy_threshold), auc(curve), partial_auc(curve, fpr_max)
+        return accuracy(scores, labels, 0.5), auc(curve), partial_auc(curve, fpr_max)
 
     ens = metrics(ds.scores.mean(axis=1))
     per_member = np.array([metrics(ds.scores[:, j]) for j in range(ds.member_count)])
@@ -60,7 +61,6 @@ def write_comparison_csv(rows: tuple[ComparisonRow, ...], path: str | Path) -> N
 class GroupSplit:
     """Uncertainty values split into two labeled groups of samples."""
 
-    measure: str
     labels: tuple[str, str]
     sample_ids: tuple[np.ndarray, np.ndarray]
     values: tuple[np.ndarray, np.ndarray]
@@ -80,6 +80,11 @@ class GroupSplit:
         _write_csv(path, ("sample_id", "group", "value"), columns)
 
 
+def _group_split(ds: PredictionDataset, values: np.ndarray, labels: tuple[str, str], masks) -> GroupSplit:
+    """The two groups of samples that two boolean masks pick, with their uncertainty values."""
+    return GroupSplit(labels, tuple(ds.sample_ids[m] for m in masks), tuple(values[m] for m in masks))
+
+
 def uncertainty_by_correctness(ds: PredictionDataset, threshold: float, measure: str = "epistemic") -> GroupSplit:
     """Split one uncertainty measure by whether ``yhat >= threshold`` is correct.
 
@@ -91,12 +96,7 @@ def uncertainty_by_correctness(ds: PredictionDataset, threshold: float, measure:
     values = table.measure(measure)
     predicted = (table.yhat >= threshold).astype(np.int64)
     correct = predicted == ds.labels
-    return GroupSplit(
-        measure=measure,
-        labels=("correct", "incorrect"),
-        sample_ids=(ds.sample_ids[correct], ds.sample_ids[~correct]),
-        values=(values[correct], values[~correct]),
-    )
+    return _group_split(ds, values, ("correct", "incorrect"), (correct, ~correct))
 
 
 def uncertainty_by_novelty(ds: PredictionDataset, known_families, measure: str = "epistemic") -> GroupSplit:
@@ -111,13 +111,7 @@ def uncertainty_by_novelty(ds: PredictionDataset, known_families, measure: str =
     if not malicious.any():
         raise ValueError("no family-tagged malicious samples to split")
     seen = malicious & np.isin(ds.families, list(known))
-    unseen = malicious & ~seen
-    return GroupSplit(
-        measure=measure,
-        labels=("seen", "unseen"),
-        sample_ids=(ds.sample_ids[seen], ds.sample_ids[unseen]),
-        values=(values[seen], values[unseen]),
-    )
+    return _group_split(ds, values, ("seen", "unseen"), (seen, malicious & ~seen))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from . import adjust, analysis, protocol, synth
-from .data import DatasetError, _write_csv, filter_split, load_dataset, save_dataset
+from .data import SPLIT_NAMES, DatasetError, _write_csv, filter_split, load_dataset, save_dataset
 from .rocmetrics import _budget_count
 
 DEFAULT_TARGET_GRID = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -58,6 +58,17 @@ def _warn_if_unresolvable(target_fpr: float, part, split: str, multiplier: float
         click.echo(f"warning: {msg}; no nonzero FPR on this split fits the budget", err=True)
 
 
+def _echo_summary(ds, head: str, novel: np.ndarray | None = None) -> None:
+    """Print the dataset's size after ``head``, then one line per split; a row mask ``novel`` adds its count."""
+    click.echo(f"{head}: {len(ds)} records, {ds.member_count} members")
+    for split in SPLIT_NAMES:
+        mask = ds.splits == split
+        n = int(mask.sum())
+        pos = int(ds.labels[mask].sum())
+        extra = "" if novel is None else f", {int((mask & novel).sum())} novel-family"
+        click.echo(f"  {split}: {n} records ({pos} malicious, {n - pos} benign{extra})")
+
+
 def _outdir(path: str) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -74,13 +85,7 @@ def cli() -> None:
 @_format_option
 def cmd_validate(input_path: str, fmt: str) -> None:
     """Check a dataset file against the schema and print a summary."""
-    ds = load_dataset(input_path, fmt)
-    click.echo(f"ok: {len(ds)} records, {ds.member_count} members")
-    for split in ("train", "validation", "test"):
-        mask = ds.splits == split
-        n = int(mask.sum())
-        pos = int(ds.labels[mask].sum())
-        click.echo(f"  {split}: {n} records ({pos} malicious, {n - pos} benign)")
+    _echo_summary(load_dataset(input_path, fmt), "ok")
 
 
 @cli.command("fit")
@@ -250,15 +255,7 @@ def cmd_synth(fmt: str, config_path: str | None, output_path: str, seed: int | N
         config = synth.SynthConfig.from_dict(dict(config.to_dict(), seed=seed))
     ds = synth.generate(config)
     save_dataset(ds, output_path, fmt)
-    click.echo(f"wrote {output_path}: {len(ds)} records, {ds.member_count} members")
-    tags = set(ds.families.tolist()) - {None}
-    novel_family = np.isin(ds.families, [f for f in tags if f.startswith("fam_n")])
-    for split in ("train", "validation", "test"):
-        mask = ds.splits == split
-        n = int(mask.sum())
-        pos = int(ds.labels[mask].sum())
-        novel = int((mask & novel_family).sum())
-        click.echo(f"  {split}: {n} records ({pos} malicious, {n - pos} benign, {novel} novel-family)")
+    _echo_summary(ds, f"wrote {output_path}", np.isin(ds.families, synth._NOVEL_FAMILIES))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -83,7 +83,6 @@ class PredictionDataset:
     splits: np.ndarray
     families: np.ndarray
     scores: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         ids = np.array([str(x) for x in np.asarray(self.sample_ids).ravel()], dtype=object)
@@ -119,7 +118,6 @@ class PredictionDataset:
         splits: np.ndarray,
         families: np.ndarray,
         scores: np.ndarray,
-        provenance: str,
     ) -> PredictionDataset:
         """Wrap columns that already pass every check of ``__post_init__``.
 
@@ -129,7 +127,6 @@ class PredictionDataset:
         """
         ds = object.__new__(cls)
         ds._set_columns(sample_ids, labels, splits, families, scores)
-        object.__setattr__(ds, "provenance", provenance)
         return ds
 
     def __len__(self) -> int:
@@ -223,7 +220,7 @@ def _csv_columns(path: Path) -> PredictionDataset | None:
     # The bools check as the labels would (False == 0, True == 1); int64 labels come after, off the memory peak.
     if _column_fault(ids, malicious, splits, families, scores) is not None:
         return None
-    return PredictionDataset._trusted(ids, malicious.astype(np.int64), splits, families, scores, str(path))
+    return PredictionDataset._trusted(ids, malicious.astype(np.int64), splits, families, scores)
 
 
 def _csv_rows(path: Path) -> PredictionDataset:
@@ -294,6 +291,11 @@ def _is_int_or_str(value) -> bool:
     return isinstance(value, (int, str)) and not isinstance(value, bool)
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """A JSON number of one of ``kinds``; JSON's true and false are no numbers."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _from_records(path: Path, records, field_name: str, member_count: int | None) -> PredictionDataset:
     """Check row records against the schema, the first broken rule raising DatasetError naming its line.
 
@@ -347,7 +349,7 @@ def _from_records(path: Path, records, field_name: str, member_count: int | None
         raise DatasetError(f"{path}: no records, cannot infer member count")
     ids, splits, families = (np.array(col, dtype=object) for col in (ids, splits, families))
     scores = np.frombuffer(scores, dtype=np.float64).reshape(len(ids), t)
-    return PredictionDataset._trusted(ids, np.array(malicious, dtype=np.int64), splits, families, scores, str(path))
+    return PredictionDataset._trusted(ids, np.array(malicious, dtype=np.int64), splits, families, scores)
 
 
 def load_dataset(path: str | Path, format: str = "csv") -> PredictionDataset:
@@ -404,8 +406,7 @@ def _write_csv(path: str | Path, header, columns, lineterminator: str = "\r\n") 
         joined = "".join(texts)
         if any(c in joined for c in special):
             texts = ['"' + t.replace('"', '""') + '"' if any(c in t for c in special) else t for t in texts]
-        # csv.writer quotes a row's only field when it is empty.
-        return [t or '""' for t in texts] if len(columns) == 1 else texts
+        return texts
 
     def block_fields(col: np.ndarray) -> list:
         if col.dtype == bool:
@@ -433,6 +434,4 @@ def filter_split(ds: PredictionDataset, split: str) -> PredictionDataset:
 
 def _take(ds: PredictionDataset, rows: np.ndarray) -> PredictionDataset:
     """The rows of a dataset picked by a mask or by distinct positions; they are valid already."""
-    return PredictionDataset._trusted(
-        ds.sample_ids[rows], ds.labels[rows], ds.splits[rows], ds.families[rows], ds.scores[rows], ds.provenance
-    )
+    return PredictionDataset._trusted(*(getattr(ds, name)[rows] for name in _COLUMNS))

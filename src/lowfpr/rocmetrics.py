@@ -26,16 +26,11 @@ class OperatingPoint:
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Operating points sorted by descending threshold (ascending FPR)."""
+    """Operating points sorted by descending threshold (ascending FPR); ``thresholds.size`` counts them."""
 
     thresholds: np.ndarray
     tprs: np.ndarray
     fprs: np.ndarray
-    n_pos: int
-    n_neg: int
-
-    def __len__(self) -> int:
-        return int(self.thresholds.shape[0])
 
 
 def _score_label_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -75,7 +70,7 @@ def roc_curve(scores, labels) -> RocCurve:
     fprs = np.concatenate(([0.0], fp / n_neg, [1.0]))
     for col in (thresholds, tprs, fprs):
         col.setflags(write=False)
-    return RocCurve(thresholds=thresholds, tprs=tprs, fprs=fprs, n_pos=n_pos, n_neg=n_neg)
+    return RocCurve(thresholds=thresholds, tprs=tprs, fprs=fprs)
 
 
 def auc(curve: RocCurve) -> float:

@@ -18,12 +18,13 @@ member noise, split assignment, family assignment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetError, PredictionDataset, _read_json
+from .data import SPLIT_NAMES, DatasetError, PredictionDataset, _is_number, _read_json
 
 # Stream constant of the data stream. Arbitrary but frozen; changing it
 # changes every dataset. Other streams of the same seed are independent of it.
@@ -56,6 +57,10 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "split_fractions", tuple(float(f) for f in self.split_fractions))
+        for name, value in asdict(self).items():
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"{name} must be finite, got {v!r}")
         if self.n_benign < 0 or self.n_malicious < 0:
             raise ValueError("sample counts must be nonnegative")
         if self.member_count < 1:
@@ -102,10 +107,6 @@ class SynthConfig:
         if "split_fractions" in d:
             d = dict(d, split_fractions=tuple(d["split_fractions"]))
         return cls(**d)
-
-
-def _is_number(value, kinds=(int, float)) -> bool:
-    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def load_config(path: str | Path) -> SynthConfig:
@@ -169,10 +170,7 @@ def _generate_with(config: SynthConfig, rng: np.random.Generator) -> PredictionD
     # still round to the endpoints, which the dataset schema allows.
     np.clip(scores, 0.0, 1.0, out=scores)
 
-    splits = np.array(
-        rng.choice(np.array(["train", "validation", "test"], dtype=object), size=n, p=config.split_fractions),
-        dtype=object,
-    )
+    splits = rng.choice(np.array(SPLIT_NAMES, dtype=object), size=n, p=config.split_fractions)
     is_novel = np.zeros(n, dtype=bool)
     is_novel[n - n_novel :] = True
     splits[is_novel] = "test"
@@ -190,7 +188,6 @@ def _generate_with(config: SynthConfig, rng: np.random.Generator) -> PredictionD
         splits=splits,
         families=families,
         scores=scores,
-        provenance=f"synth(seed={config.seed})",
     )
 
 

@@ -46,9 +46,6 @@ class UncertaintyTable:
     aleatoric: np.ndarray
     epistemic: np.ndarray
 
-    def __len__(self) -> int:
-        return int(self.yhat.shape[0])
-
     def measure(self, name: str) -> np.ndarray:
         """Select one uncertainty column: predictive, aleatoric or epistemic."""
         columns = {

@@ -374,9 +374,19 @@ class TestCalibrationSerialization:
             (lambda d: dict(d, sweeps_used=-1), "'sweeps_used': must be an integer >= 0, got -1"),
             (lambda d: dict(d, seed=-3), "'seed': must be an integer >= 0, got -3"),
             (lambda d: dict(d, seed=7.0), "'seed': must be an integer >= 0, got 7.0"),
+            (lambda d: dict(d, threshold=math.nan), "'threshold' is NaN"),
+            (lambda d: dict(d, threshold=False), "'threshold': must be a number, got False"),
+            (lambda d: dict(d, threshold=10**400), "'threshold': int too large to convert to float"),
+            (lambda d: dict(d, multiplier=True), "'multiplier': must be a number, got True"),
+            (lambda d: dict(d, target_fpr="0.01"), "'target_fpr': must be a number, got '0.01'"),
+            (lambda d: dict(d, validation_tpr=True), "'validation_tpr': must be a number, got True"),
+            (lambda d: dict(d, validation_fpr="0"), "'validation_fpr': must be a number, got '0'"),
+            (lambda d: dict(d, alpha=[0.0, False]), "'alpha': must be a number, got False"),
         ],
         ids=["not-an-object", "missing-key", "non-numeric", "nan-threshold", "alpha-not-list", "unknown-variant", "int-not-number",
-             "member-count-fractional", "member-count-zero", "sweeps-bool", "sweeps-negative", "seed-negative", "seed-float"],
+             "member-count-fractional", "member-count-zero", "sweeps-bool", "sweeps-negative", "seed-negative", "seed-float",
+             "nan-literal-threshold", "threshold-bool", "threshold-huge-int", "multiplier-bool", "target-string",
+             "validation-tpr-bool", "validation-fpr-string", "alpha-entry-bool"],
     )
     def test_malformed_file_names_file_and_key(self, tmp_path, hetero_val, edit, key):
         val, _ = hetero_val

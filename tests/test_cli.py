@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -151,6 +152,24 @@ class TestSynth:
         out = tmp_path / "x.csv"
         assert run_cli(["synth", "--config", str(config_path), "--output", str(out)]) == 3
         assert capsys.readouterr().err == f"error: {key} must be {kind}, got {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, shown",
+        [
+            ("benign_logit_mean", math.nan, "nan"),
+            ("malicious_logit_mean", -math.inf, "-inf"),
+            ("logit_sd", math.inf, "inf"),
+            ("member_noise_sd_novel", math.inf, "inf"),
+            ("split_fractions", [math.nan, 0.5, 0.5], "nan"),
+        ],
+    )
+    def test_nonfinite_config_value_exits_3(self, tmp_path, capsys, key, value, shown):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(small_config(**{key: value})))  # json writes NaN and Infinity
+        out = tmp_path / "x.csv"
+        assert run_cli(["synth", "--config", str(config_path), "--output", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {key} must be finite, got {shown}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -392,9 +411,14 @@ class TestEval:
             (lambda d: dict(d, member_count=5.9), "'member_count': must be an integer >= 1, got 5.9"),
             (lambda d: dict(d, sweeps_used=True), "'sweeps_used': must be an integer >= 0, got True"),
             (lambda d: dict(d, seed=-3), "'seed': must be an integer >= 0, got -3"),
+            (lambda d: dict(d, threshold=False), "'threshold': must be a number, got False"),
+            (lambda d: dict(d, multiplier=True), "'multiplier': must be a number, got True"),
+            (lambda d: dict(d, threshold="0.5"), "'threshold': must be a number, got '0.5'"),
+            (lambda d: dict(d, target_fpr="0.01"), "'target_fpr': must be a number, got '0.01'"),
         ],
         ids=["not-an-object", "missing-key", "non-numeric", "nan-threshold", "target-above-one", "target-zero",
-             "multiplier-zero", "multiplier-negative", "member-count-fractional", "sweeps-bool", "seed-negative"],
+             "multiplier-zero", "multiplier-negative", "member-count-fractional", "sweeps-bool", "seed-negative",
+             "threshold-bool", "multiplier-bool", "threshold-string", "target-string"],
     )
     def test_malformed_calibration_exits_2(self, dataset_csv, tmp_path, capsys, edit, key):
         outdir = tmp_path / "out"

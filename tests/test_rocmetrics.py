@@ -91,7 +91,7 @@ class TestRocCurve:
             assert curve.fprs[-1] == 1.0 and curve.tprs[-1] == 1.0
             assert np.all(np.diff(curve.thresholds) <= 0)
             assert np.all(np.diff(curve.tprs) >= 0) and np.all(np.diff(curve.fprs) >= 0)
-            assert len(curve) == len(set(scores.tolist())) + 2
+            assert curve.thresholds.size == len(set(scores.tolist())) + 2
 
     def test_matches_brute_force_exactly(self):
         rng = np.random.default_rng(1)

@@ -155,7 +155,6 @@ def test_group_split_csv(tmp_path, small_blocks, sizes):
     values = np.array(ODD_FLOATS + [0.5] * 4)
     n, m = sizes
     split = GroupSplit(
-        measure="epistemic",
         labels=("correct", "incorrect"),
         sample_ids=(ids[:n], ids[n : n + m]),
         values=(values[:n], values[n : n + m]),
@@ -209,14 +208,6 @@ def test_line_breaks_in_text(tmp_path, small_blocks, lineterminator):
     data._write_csv(path, ("text", "n"), [np.array(texts, dtype=object), list(range(len(texts)))], lineterminator)
     lines = ["text,n", *(f"{field},{k}" for k, field in enumerate(written))]
     assert path.read_bytes() == "".join(line + lineterminator for line in lines).encode("utf-8")
-
-
-def test_one_column_with_empty_fields(tmp_path, small_blocks):
-    # csv.writer writes a row's only field as "" when it is empty
-    values = ["a", "", None, "b", "c", "d", "", "e"]
-    path = tmp_path / "t.csv"
-    data._write_csv(path, ("only",), [np.array(values, dtype=object)])
-    assert path.read_bytes() == rows_to_csv(("only",), ([v] for v in values))
 
 
 def test_header_only_table(tmp_path):
