@@ -210,6 +210,11 @@ class CalibrationResult:
                 raise ValueError(f"must be a number, got {value!r}")
             return float(value)
 
+        def numbers(value) -> tuple[float, ...]:
+            if not isinstance(value, list):
+                raise ValueError(f"must be a list of numbers, got {value!r}")
+            return tuple(map(number, value))
+
         def field(key: str, convert: Callable = number):
             if key not in d:
                 raise DatasetError(f"calibration is missing key {key!r}")
@@ -235,7 +240,7 @@ class CalibrationResult:
         if multiplier <= 0.0:
             raise DatasetError(f"calibration key 'multiplier' must be positive, got {multiplier!r}")
         return cls(
-            params=field("alpha", lambda alpha: AdjustmentParams(variant, tuple(map(number, alpha)))),
+            params=field("alpha", lambda alpha: AdjustmentParams(variant, numbers(alpha))),
             global_threshold=threshold,
             target_fpr=field("target_fpr", lambda value: _check_target_fpr(number(value))),
             fit_fpr_multiplier=multiplier,

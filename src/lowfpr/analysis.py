@@ -2,7 +2,7 @@
 a self-contained Wilcoxon signed-rank test.
 
 An uncertainty split is a ``GroupSplit``: two labeled groups of sample ids,
-each with its values of the one measure the caller names.
+each with its values of one measure named in ``uncertainty.MEASURES``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import numpy as np
 from .data import PredictionDataset, _field_columns, _write_csv
 from .rocmetrics import accuracy, auc, partial_auc, roc_curve
 from .uncertainty import compute_uncertainties
-
-MEASURES = ("predictive", "aleatoric", "epistemic")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ files. Exit codes: 0 success, 1 usage error, 2 data validation error,
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -15,8 +16,9 @@ import click
 import numpy as np
 
 from . import adjust, analysis, protocol, synth
-from .data import SPLIT_NAMES, DatasetError, _write_csv, filter_split, load_dataset, save_dataset
+from .data import _FORMATS, SPLIT_NAMES, DatasetError, _write_csv, filter_split, load_dataset, save_dataset
 from .rocmetrics import _budget_count
+from .uncertainty import MEASURES
 
 DEFAULT_TARGET_GRID = (1e-2, 1e-3, 1e-4, 1e-5)
 
@@ -29,7 +31,7 @@ VARIANT_LABELS = {
 
 _input_option = click.option("--input", "input_path", required=True, help="Dataset file to read.")
 _format_option = click.option(
-    "--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv", show_default=True, help="Dataset file format."
+    "--format", "fmt", type=click.Choice(_FORMATS), default="csv", show_default=True, help="Dataset file format."
 )
 _output_dir_option = click.option(
     "--output-dir", default=".", show_default=True, help="Directory for output files (created if missing)."
@@ -177,7 +179,7 @@ def cmd_eval(input_path: str, fmt: str, output_dir: str, calibration_path: str, 
 @click.option("--threshold", type=float, default=0.5, show_default=True, help="Decision threshold for the errors study.")
 @click.option(
     "--measure",
-    type=click.Choice(list(analysis.MEASURES)),
+    type=click.Choice(MEASURES),
     default="epistemic",
     show_default=True,
     help="Uncertainty measure for the errors/novelty studies.",
@@ -200,16 +202,15 @@ def cmd_study(
     targets = list(target_fprs) if target_fprs else list(DEFAULT_TARGET_GRID)
     ds = load_dataset(input_path, fmt)
     out = _outdir(output_dir) / f"{study_name}.csv"
-    if study_name == "protocol":
+    if study_name in ("protocol", "subsample"):
         val = _split_or_die(ds, "validation")
-        test = _split_or_die(ds, "test")
+    test = _split_or_die(ds, "test")
+    if study_name == "protocol":
         points = protocol.relative_error_curve(val, test, targets)
         for t in targets:
             _warn_if_unresolvable(t, val, "validation")
         protocol.write_protocol_csv(points, out)
     elif study_name == "subsample":
-        val = _split_or_die(ds, "validation")
-        test = _split_or_die(ds, "test")
         try:
             fraction_list = [float(f) for f in fractions.split(",") if f.strip() != ""]
         except ValueError:
@@ -221,17 +222,14 @@ def cmd_study(
         )
         protocol.write_study_csv(rows, out)
     elif study_name == "table1":
-        test = _split_or_die(ds, "test")
         rows = analysis.ensemble_vs_members(test, fpr_max=fpr_max)
         analysis.write_comparison_csv(rows, out)
     elif study_name == "errors":
-        test = _split_or_die(ds, "test")
         split_result = analysis.uncertainty_by_correctness(test, threshold, measure)
         split_result.write_csv(out)
         if split_result.has_empty_group:
             click.echo("warning: one correctness group is empty", err=True)
     else:  # novelty
-        test = _split_or_die(ds, "test")
         known = set(ds.families[ds.splits != "test"].tolist()) - {None}
         split_result = analysis.uncertainty_by_novelty(test, known, measure)
         split_result.write_csv(out)
@@ -252,7 +250,7 @@ def cmd_synth(fmt: str, config_path: str | None, output_path: str, seed: int | N
     else:
         config = synth.load_config(config_path)
     if seed is not None:
-        config = synth.SynthConfig.from_dict(dict(config.to_dict(), seed=seed))
+        config = dataclasses.replace(config, seed=seed)
     ds = synth.generate(config)
     save_dataset(ds, output_path, fmt)
     _echo_summary(ds, f"wrote {output_path}", np.isin(ds.families, synth._NOVEL_FAMILIES))

@@ -275,9 +275,9 @@ def _jsonl_rows(path: Path) -> PredictionDataset:
                 sample_id, label, split, family, scores = obj["id"], obj["label"], obj["split"], obj["family"], obj["scores"]
             except KeyError as exc:
                 raise DatasetError(f"{path}: line {lineno}: missing key '{exc.args[0]}'") from None
-            if not _is_int_or_str(sample_id):
+            if not _is_number(sample_id, (int, str)):
                 raise DatasetError(f"{path}: line {lineno}: field id must be a string or an integer, got {sample_id!r}")
-            if family is not None and not _is_int_or_str(family):
+            if family is not None and not _is_number(family, (int, str)):
                 raise DatasetError(
                     f"{path}: line {lineno}: field family must be a string, an integer or null, got {family!r}"
                 )
@@ -287,12 +287,8 @@ def _jsonl_rows(path: Path) -> PredictionDataset:
         return _from_records(path, records(fh), "scores[{}]", None)
 
 
-def _is_int_or_str(value) -> bool:
-    return isinstance(value, (int, str)) and not isinstance(value, bool)
-
-
 def _is_number(value, kinds=(int, float)) -> bool:
-    """A JSON number of one of ``kinds``; JSON's true and false are no numbers."""
+    """A JSON value of one of ``kinds``, numbers by default; JSON's true and false are neither."""
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
@@ -333,7 +329,7 @@ def _from_records(path: Path, records, field_name: str, member_count: int | None
             raise fault(f"inconsistent member count for sample '{sample_id}': expected {t}, got {len(raw_scores)}")
         for k, raw in enumerate(raw_scores):
             try:
-                value = float(raw)
+                value = float(None if raw.__class__ is bool else raw)  # JSON's true and false are no numbers
             except (TypeError, ValueError):
                 raise fault(f"field {field_name.format(k)} is not a number: {raw!r}") from None
             except OverflowError:  # an int too large for a float

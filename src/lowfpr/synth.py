@@ -56,11 +56,17 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "split_fractions", tuple(float(f) for f in self.split_fractions))
         for name, value in asdict(self).items():
-            for v in value if isinstance(value, tuple) else (value,):
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise ValueError(f"{name} must be finite, got {v!r}")
+            default = getattr(SynthConfig, name)  # its type is the field's, as in from_dict
+            if not isinstance(default, int):
+                try:
+                    floats = tuple(map(float, value if isinstance(default, tuple) else (value,)))
+                except OverflowError:
+                    raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
+                for v in floats:
+                    if not math.isfinite(v):
+                        raise ValueError(f"{name} must be finite, got {v!r}")
+                object.__setattr__(self, name, floats if isinstance(default, tuple) else floats[0])
         if self.n_benign < 0 or self.n_malicious < 0:
             raise ValueError("sample counts must be nonnegative")
         if self.member_count < 1:
@@ -104,8 +110,6 @@ class SynthConfig:
                 ok, kind = _is_number(value), "a number"
             if not ok:
                 raise ValueError(f"{key} must be {kind}, got {value!r}")
-        if "split_fractions" in d:
-            d = dict(d, split_fractions=tuple(d["split_fractions"]))
         return cls(**d)
 
 

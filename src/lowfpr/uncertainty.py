@@ -9,7 +9,8 @@ malicious class:
                                              prediction and the member choice
 
 Both components are bounded by ln 2, and 0 <= aleatoric <= predictive holds up
-to floating-point cancellation.
+to floating-point cancellation. ``UncertaintyTable.measure`` and the CLI's
+``--measure`` select a column by its name in ``MEASURES``.
 
 ``compute_uncertainties`` is the one decomposition call: it takes a
 ``PredictionDataset``, whose constructor has already checked that every score
@@ -29,6 +30,8 @@ from .data import PredictionDataset
 # clamped to zero; anything below it means the identity was violated.
 _EPISTEMIC_FLOOR = -1e-9
 
+MEASURES = ("predictive", "aleatoric", "epistemic")
+
 
 def _entropy_unchecked(p: np.ndarray) -> np.ndarray:
     interior = (p > 0.0) & (p < 1.0)
@@ -47,15 +50,10 @@ class UncertaintyTable:
     epistemic: np.ndarray
 
     def measure(self, name: str) -> np.ndarray:
-        """Select one uncertainty column: predictive, aleatoric or epistemic."""
-        columns = {
-            "predictive": self.predictive_entropy,
-            "aleatoric": self.aleatoric,
-            "epistemic": self.epistemic,
-        }
-        if name not in columns:
-            raise ValueError(f"unknown measure {name!r}, expected one of {tuple(columns)}")
-        return columns[name]
+        """Select one uncertainty column by its name in MEASURES."""
+        if name not in MEASURES:
+            raise ValueError(f"unknown measure {name!r}, expected one of {MEASURES}")
+        return (self.predictive_entropy, self.aleatoric, self.epistemic)[MEASURES.index(name)]
 
 
 def compute_uncertainties(ds: PredictionDataset) -> UncertaintyTable:

@@ -365,7 +365,10 @@ class TestCalibrationSerialization:
             (lambda d: {k: v for k, v in d.items() if k != "threshold"}, "'threshold'"),
             (lambda d: dict(d, target_fpr="abc"), "'target_fpr'"),
             (lambda d: dict(d, threshold="nan"), "'threshold'"),
-            (lambda d: dict(d, alpha=None), "'alpha'"),
+            (lambda d: dict(d, alpha=None), "'alpha': must be a list of numbers, got None"),
+            (lambda d: dict(d, alpha="0.5"), "'alpha': must be a list of numbers, got '0.5'"),
+            (lambda d: dict(d, alpha={"a": 1}), "'alpha': must be a list of numbers, got {'a': 1}"),
+            (lambda d: dict(d, alpha=0.5), "'alpha': must be a list of numbers, got 0.5"),
             (lambda d: dict(d, variant="lv9"), "'variant'"),
             (lambda d: dict(d, seed=[1]), "'seed'"),
             (lambda d: dict(d, member_count=5.9), "'member_count': must be an integer >= 1, got 5.9"),
@@ -383,7 +386,8 @@ class TestCalibrationSerialization:
             (lambda d: dict(d, validation_fpr="0"), "'validation_fpr': must be a number, got '0'"),
             (lambda d: dict(d, alpha=[0.0, False]), "'alpha': must be a number, got False"),
         ],
-        ids=["not-an-object", "missing-key", "non-numeric", "nan-threshold", "alpha-not-list", "unknown-variant", "int-not-number",
+        ids=["not-an-object", "missing-key", "non-numeric", "nan-threshold", "alpha-not-list", "alpha-string", "alpha-object",
+             "alpha-number", "unknown-variant", "int-not-number",
              "member-count-fractional", "member-count-zero", "sweeps-bool", "sweeps-negative", "seed-negative", "seed-float",
              "nan-literal-threshold", "threshold-bool", "threshold-huge-int", "multiplier-bool", "target-string",
              "validation-tpr-bool", "validation-fpr-string", "alpha-entry-bool"],

@@ -1,14 +1,16 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lowfpr.analysis import uncertainty_by_novelty
-from lowfpr.cli import main
+from lowfpr.cli import cli, main
 from lowfpr.data import filter_split, load_dataset
 from lowfpr.protocol import relative_error_curve, write_protocol_csv
 from lowfpr.synth import SynthConfig
@@ -162,6 +164,9 @@ class TestSynth:
             ("logit_sd", math.inf, "inf"),
             ("member_noise_sd_novel", math.inf, "inf"),
             ("split_fractions", [math.nan, 0.5, 0.5], "nan"),
+            pytest.param("logit_sd", 10**400, "an integer too large for a float", id="logit_sd-huge-int"),
+            pytest.param("benign_logit_mean", -(10**400), "an integer too large for a float", id="benign_logit_mean-huge-int"),
+            pytest.param("split_fractions", [10**400, 0.5, 0.5], "an integer too large for a float", id="split_fractions-huge-int"),
         ],
     )
     def test_nonfinite_config_value_exits_3(self, tmp_path, capsys, key, value, shown):
@@ -415,10 +420,15 @@ class TestEval:
             (lambda d: dict(d, multiplier=True), "'multiplier': must be a number, got True"),
             (lambda d: dict(d, threshold="0.5"), "'threshold': must be a number, got '0.5'"),
             (lambda d: dict(d, target_fpr="0.01"), "'target_fpr': must be a number, got '0.01'"),
+            (lambda d: dict(d, alpha="0.5"), "'alpha': must be a list of numbers, got '0.5'"),
+            (lambda d: dict(d, alpha={"a": 1}), "'alpha': must be a list of numbers, got {'a': 1}"),
+            (lambda d: dict(d, alpha=0.5), "'alpha': must be a list of numbers, got 0.5"),
+            (lambda d: dict(d, alpha=None), "'alpha': must be a list of numbers, got None"),
         ],
         ids=["not-an-object", "missing-key", "non-numeric", "nan-threshold", "target-above-one", "target-zero",
              "multiplier-zero", "multiplier-negative", "member-count-fractional", "sweeps-bool", "seed-negative",
-             "threshold-bool", "multiplier-bool", "threshold-string", "target-string"],
+             "threshold-bool", "multiplier-bool", "threshold-string", "target-string", "alpha-string", "alpha-object",
+             "alpha-number", "alpha-null"],
     )
     def test_malformed_calibration_exits_2(self, dataset_csv, tmp_path, capsys, edit, key):
         outdir = tmp_path / "out"
@@ -639,3 +649,19 @@ class TestModuleInvocation:
                               env=cli_env)
         assert proc.returncode == 2
         assert "data error" in proc.stderr
+
+
+def test_readme_cli_synopsis_names_every_option():
+    """Each command's lines of the README's CLI block name every one of its --options."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    synopsis, name = {}, None
+    for line in block.splitlines():
+        if line.startswith("lowfpr "):
+            name = line.split()[1]
+        synopsis[name] = synopsis.get(name, "") + line + "\n"
+    assert set(synopsis) == set(cli.commands)
+    for name, command in cli.commands.items():
+        options = [opt for param in command.params for opt in param.opts if opt.startswith("--")]
+        missing = [opt for opt in options if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", synopsis[name])]
+        assert not missing, (name, missing)

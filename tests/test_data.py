@@ -489,7 +489,7 @@ class TestLoaderEquivalence:
         "list family": (DatasetError, "{path}: line 1: field family must be a string, an integer or null, got ['x']"),
         "bool family": (DatasetError, "{path}: line 1: field family must be a string, an integer or null, got False"),
         "object family": (DatasetError, "{path}: line 1: field family must be a string, an integer or null, got {{}}"),
-        "int and bool scores": 2,
+        "int and bool scores": (DatasetError, "{path}: line 2: field scores[0] is not a number: True"),
         "string scores": (DatasetError, "{path}: line 1: field scores[1]='1_0' outside [0, 1]"),
         "tiny score": 1,
         "nan score": (DatasetError, "{path}: line 1: field scores[0]=nan outside [0, 1]"),
