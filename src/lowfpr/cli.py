@@ -3,7 +3,8 @@
 Commands: validate, fit, eval, study, synth. Outputs are deterministic for a
 fixed seed; reruns and different --threads values produce byte-identical
 files. Exit codes: 0 success, 1 usage error, 2 data validation error,
-3 numeric or fit failure.
+3 numeric or fit failure. `study` and `synth` import their modules in their
+own bodies, so a `fit` or `eval` process never loads them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import adjust, analysis, protocol, synth
+from . import adjust
 from .data import _FORMATS, SPLIT_NAMES, DatasetError, _write_csv, filter_split, load_dataset, save_dataset
 from .rocmetrics import _budget_count
 from .uncertainty import MEASURES
@@ -199,6 +200,8 @@ def cmd_study(
     measure: str,
 ) -> None:
     """Run one of the bundled studies and write its CSV."""
+    from . import analysis, protocol
+
     targets = list(target_fprs) if target_fprs else list(DEFAULT_TARGET_GRID)
     ds = load_dataset(input_path, fmt)
     out = _outdir(output_dir) / f"{study_name}.csv"
@@ -245,6 +248,8 @@ def cmd_study(
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="Override the config's seed.")
 def cmd_synth(fmt: str, config_path: str | None, output_path: str, seed: int | None) -> None:
     """Generate a synthetic dataset and write it to disk."""
+    from . import synth
+
     if config_path is None:
         config = synth.default_scenario()
     else:

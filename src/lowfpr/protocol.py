@@ -18,7 +18,6 @@ budget admits no false positive (``rocmetrics._budget_count`` is 0). One draw,
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -169,6 +168,8 @@ def subsampling_study(
             StudyRow(fraction, seed, t, op.tpr, op.fpr, inv.tpr, _rel_error(inv.tpr, op.tpr), attainable)
             for t, (op, attainable), inv in zip(targets, valid, invalid)
         ]
+
+    from concurrent.futures import ThreadPoolExecutor  # here, so that importing protocol stays cheap
 
     cells = [(fi, f, s) for fi, f in enumerate(fractions) for s in seeds]
     with ThreadPoolExecutor(max_workers=threads) as pool:
