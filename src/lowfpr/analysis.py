@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import PredictionDataset, _field_columns, _write_csv
 from .rocmetrics import accuracy, auc, partial_auc, roc_curve
-from .uncertainty import compute_uncertainties
+from .uncertainty import _ensemble_scores, compute_uncertainties
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def ensemble_vs_members(ds: PredictionDataset, fpr_max: float) -> tuple[Comparis
         curve = roc_curve(scores, labels)
         return accuracy(scores, labels, 0.5), auc(curve), partial_auc(curve, fpr_max)
 
-    ens = metrics(ds.scores.mean(axis=1))
+    ens = metrics(_ensemble_scores(ds))
     per_member = np.array([metrics(ds.scores[:, j]) for j in range(ds.member_count)])
     avg = per_member.mean(axis=0)
     return (
@@ -154,8 +154,6 @@ def _normal_two_sided(ranks: np.ndarray, w_plus: float, n: int) -> float:
     var = n * (n + 1) * (2 * n + 1) / 24.0
     _, counts = np.unique(ranks, return_counts=True)
     var -= float((counts.astype(np.float64) ** 3 - counts).sum()) / 48.0
-    if var <= 0.0:
-        return 1.0
     z = (abs(w_plus - mu) - 0.5) / math.sqrt(var)  # continuity correction
     if z < 0.0:
         z = 0.0

@@ -3,8 +3,8 @@
 A dataset row is one sample scored by T ensemble members. Two on-disk formats
 are supported:
 
-* CSV with header ``sample_id,label,split,family,m0,...,m{T-1}`` (family empty
-  for benign / untagged rows).
+* CSV with header ``sample_id,label,split,family,m0,...,m{T-1}``, spelled by
+  ``_csv_header`` alone (family empty for benign / untagged rows).
 * JSON Lines with keys ``id`` (a string or an integer), ``label``, ``split``,
   ``family`` (a string, an integer or null) and ``scores`` (array of T floats).
 
@@ -26,9 +26,9 @@ formats. An unreadable or non-UTF-8 file raises DatasetError naming it.
 
 Datasets are immutable; all column arrays are read-only so downstream code can
 share them without copying. ``PredictionDataset(...)`` validates and copies
-its columns. No load validates twice: the loaders, ``filter_split`` and
-``_take`` build their results from columns that are already valid through the
-private ``PredictionDataset._trusted``, which skips that validation.
+its columns. No load validates twice: the loaders and ``filter_split`` build
+their results from columns that are already valid through the private
+``PredictionDataset._trusted``, which skips that validation.
 
 Every CSV table the package writes, datasets and study results alike, goes
 through ``_write_csv``. Both writers format each row with one %-template
@@ -188,6 +188,11 @@ def _check_format(fmt: str) -> str:
     return fmt
 
 
+def _csv_header(member_count: int) -> list[str]:
+    """The CSV header of a dataset with ``member_count`` members: the fixed columns, then m0, m1, ..."""
+    return [*_FIXED_COLUMNS, *(f"m{k}" for k in range(member_count))]
+
+
 def _csv_columns(path: Path) -> PredictionDataset | None:
     """Parse a CSV in bulk; None when the row path has to read it."""
     text = path.read_bytes().decode("utf-8").replace("\r\n", "\n")
@@ -197,7 +202,7 @@ def _csv_columns(path: Path) -> PredictionDataset | None:
     del text
     header = lines[0].split(",")
     t = len(header) - len(_FIXED_COLUMNS)
-    if t < 1 or header != [*_FIXED_COLUMNS, *(f"m{k}" for k in range(t))]:
+    if t < 1 or header != _csv_header(t):
         return None
     body = lines[1:]
     # A line no longer than csv's field limit holds no field over it.
@@ -238,16 +243,10 @@ def _csv_records(path: Path, reader) -> PredictionDataset:
         header = next(reader)
     except StopIteration:
         raise DatasetError(f"{path}: empty file, expected a header row") from None
-    for k, name in enumerate(_FIXED_COLUMNS):
-        if k >= len(header) or header[k] != name:
-            got = header[k] if k < len(header) else "<missing>"
+    t = len(header) - len(_FIXED_COLUMNS)
+    for k, name in enumerate(_csv_header(max(t, 1))):
+        if (got := header[k] if k < len(header) else "<missing>") != name:
             raise DatasetError(f"{path}: header column {k} must be '{name}', got '{got}'")
-    member_names = header[len(_FIXED_COLUMNS):]
-    if not member_names:
-        raise DatasetError(f"{path}: header has no member score columns (expected m0, m1, ...)")
-    for k, name in enumerate(member_names):
-        if name != f"m{k}":
-            raise DatasetError(f"{path}: header column {k + len(_FIXED_COLUMNS)} must be 'm{k}', got '{name}'")
 
     def records():
         for lineno, row in enumerate(reader, start=2):
@@ -257,7 +256,7 @@ def _csv_records(path: Path, reader) -> PredictionDataset:
                 raise DatasetError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
             yield lineno, row[0], row[1], row[2], row[3] or None, row[4:]
 
-    return _from_records(path, records(), "m{}", len(member_names))
+    return _from_records(path, records(), "m{}", t)
 
 
 def _jsonl_rows(path: Path) -> PredictionDataset:
@@ -351,8 +350,6 @@ def _from_records(path: Path, records, field_name: str, member_count: int | None
 def load_dataset(path: str | Path, format: str = "csv") -> PredictionDataset:
     """Load and validate a dataset file. Schema violations and unreadable or non-UTF-8 files raise DatasetError."""
     path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"no such file: {path}")
     try:
         if _check_format(format) == "jsonl":
             return _jsonl_rows(path)
@@ -368,8 +365,7 @@ def save_dataset(ds: PredictionDataset, path: str | Path, format: str = "csv") -
     """Write a dataset to disk. Floats keep full round-trip precision."""
     path = Path(path)
     if _check_format(format) == "csv":
-        header = [*_FIXED_COLUMNS, *(f"m{k}" for k in range(ds.member_count))]
-        _write_csv(path, header, [ds.sample_ids, ds.labels, ds.splits, ds.families, *ds.scores.T])
+        _write_csv(path, _csv_header(ds.member_count), [ds.sample_ids, ds.labels, ds.splits, ds.families, *ds.scores.T])
         return
     scores = ", ".join(["%r"] * ds.member_count)
     template = f'{{"id": %s, "label": %d, "split": %s, "family": %s, "scores": [{scores}]}}\n'
@@ -425,9 +421,5 @@ def filter_split(ds: PredictionDataset, split: str) -> PredictionDataset:
     """Select the rows of one split. The result may be empty."""
     if split not in SPLIT_NAMES:
         raise ValueError(f"unknown split {split!r}, expected one of {SPLIT_NAMES}")
-    return _take(ds, ds.splits == split)
-
-
-def _take(ds: PredictionDataset, rows: np.ndarray) -> PredictionDataset:
-    """The rows of a dataset picked by a mask or by distinct positions; they are valid already."""
+    rows = ds.splits == split
     return PredictionDataset._trusted(*(getattr(ds, name)[rows] for name in _COLUMNS))

@@ -5,8 +5,8 @@ metrics at it: an optimistic estimate that leaks the evaluation data. The
 valid protocol picks the threshold on the validation split and carries it to
 the test split. The relative error between the two quantifies the optimism.
 
-Both are one cell, ``_carry``, run on class-split mean scores: the invalid
-protocol is the valid one with the test split on both sides.
+Both are one cell, ``_carry``, run on class-split ``_ensemble_scores``: the
+invalid protocol is the valid one with the test split on both sides.
 
 The subsampling study repeats the valid/invalid comparison with the validation
 set shrunk to a fraction of its size, showing how threshold estimates degrade,
@@ -25,6 +25,7 @@ import numpy as np
 
 from .data import PredictionDataset, _field_columns, _write_csv
 from .rocmetrics import OperatingPoint, _budget_count, _check_target_fpr, _rates, _select
+from .uncertainty import _ensemble_scores
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,6 @@ class StudyRow:
     invalid_tpr: float
     rel_error: float | None
     attainable: bool
-
-
-def _mean_scores(ds: PredictionDataset) -> tuple[np.ndarray, np.ndarray]:
-    if len(ds) == 0:
-        raise ValueError("dataset is empty")
-    return ds.scores.mean(axis=1), ds.labels
 
 
 def _class_scores(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,8 +97,8 @@ def _rel_error(invalid_tpr: float, valid_tpr: float) -> float | None:
 def relative_error_curve(val: PredictionDataset, test: PredictionDataset, target_fprs) -> list[ProtocolCurvePoint]:
     """Select thresholds on validation and on test itself; report test rates at each and their relative error."""
     targets = _check_targets(target_fprs)
-    val_classes = _class_scores(*_mean_scores(val))
-    test_classes = _class_scores(*_mean_scores(test))
+    val_classes = _class_scores(_ensemble_scores(val), val.labels)
+    test_classes = _class_scores(_ensemble_scores(test), test.labels)
     valid = _carry(val_classes, test_classes, targets)
     invalid = _carry(test_classes, test_classes, targets)
     return [
@@ -135,7 +130,7 @@ def subsampling_study(
 
     Each cell subsamples the validation split (uniformly, so class balance
     drifts at small fractions), reselects thresholds and evaluates on the full
-    test split. The validation mean-score vector is computed once: a cell
+    test split. The validation ensemble-score vector is computed once: a cell
     indexes it with the rows ``_cell_rows`` draws, splits them by class and
     runs ``_carry``, the cell ``relative_error_curve`` runs on the whole
     split. A target is attainable in a cell when its budget admits a false
@@ -156,14 +151,14 @@ def subsampling_study(
         raise ValueError("seeds is empty")
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    test_classes = _class_scores(*_mean_scores(test))
+    test_classes = _class_scores(_ensemble_scores(test), test.labels)
     invalid = [op for op, _ in _carry(test_classes, test_classes, targets)]
-    val_scores, val_labels = _mean_scores(val)
+    val_scores = _ensemble_scores(val)
 
     def run_cell(cell: tuple[int, float, int]) -> list[StudyRow]:
         fraction_index, fraction, seed = cell
         kept = _cell_rows(val_scores.size, fraction, seed, fraction_index)
-        valid = _carry(_class_scores(val_scores[kept], val_labels[kept]), test_classes, targets)
+        valid = _carry(_class_scores(val_scores[kept], val.labels[kept]), test_classes, targets)
         return [
             StudyRow(fraction, seed, t, op.tpr, op.fpr, inv.tpr, _rel_error(inv.tpr, op.tpr), attainable)
             for t, (op, attainable), inv in zip(targets, valid, invalid)

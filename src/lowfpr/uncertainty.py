@@ -14,8 +14,8 @@ to floating-point cancellation. ``UncertaintyTable.measure`` and the CLI's
 
 ``compute_uncertainties`` is the one decomposition call: it takes a
 ``PredictionDataset``, whose constructor has already checked that every score
-lies in [0, 1], and returns one ``UncertaintyTable`` row per sample. A single
-sample is decomposed as a one-row dataset.
+lies in [0, 1], and returns one ``UncertaintyTable`` row per sample. Its
+``yhat`` is ``_ensemble_scores``, the one ensemble score every module takes.
 """
 
 from __future__ import annotations
@@ -38,6 +38,11 @@ def _entropy_unchecked(p: np.ndarray) -> np.ndarray:
     safe = np.where(interior, p, 0.5)
     h = -(safe * np.log(safe) + (1.0 - safe) * np.log1p(-safe))
     return np.where(interior, h, 0.0)
+
+
+def _ensemble_scores(ds: PredictionDataset) -> np.ndarray:
+    """The ensemble's score for each sample: the mean of its member scores."""
+    return ds.scores.mean(axis=1)
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,7 @@ def compute_uncertainties(ds: PredictionDataset) -> UncertaintyTable:
     if len(ds) == 0:
         raise ValueError("dataset is empty")
     scores = ds.scores
-    yhat = scores.mean(axis=1)
+    yhat = _ensemble_scores(ds)
     predictive = _entropy_unchecked(yhat)
     aleatoric = _entropy_unchecked(scores).mean(axis=1)
     # identical members carry zero disagreement; row-mean rounding must not

@@ -102,6 +102,16 @@ class TestWilcoxon:
         d = np.abs(rng.normal(2.0, 0.5, 50)) + 0.1
         assert wilcoxon_signed_rank(d).p_value < 1e-6
 
+    @pytest.mark.parametrize("n", [21, 25, 60])
+    def test_all_tied_normal_approximation(self, n):
+        # The tie correction is largest when all n ranks tie, and the variance
+        # stays positive: n(n+1)(2n+1)/24 - (n^3-n)/48 = 3n(n+1)^2/48.
+        res = wilcoxon_signed_rank([1.0] * n)
+        z = (n * (n + 1) / 4.0 - 0.5) / math.sqrt(3 * n * (n + 1) ** 2 / 48.0)
+        assert res.n == n and res.statistic == n * (n + 1) / 2.0
+        assert res.p_value == pytest.approx(math.erfc(z / math.sqrt(2.0)), rel=1e-12)
+        assert 0.0 < res.p_value < 1e-5
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([])

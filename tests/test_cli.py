@@ -63,8 +63,17 @@ class TestValidate:
         assert run_cli(["validate", "--input", str(bad)]) == 2
         assert "data error" in capsys.readouterr().err
 
-    def test_missing_file_is_a_data_error(self, tmp_path):
-        assert run_cli(["validate", "--input", str(tmp_path / "absent.csv")]) == 2
+    def test_missing_file_is_a_data_error(self, tmp_path, capsys):
+        for fmt in ("csv", "jsonl"):
+            path = tmp_path / f"absent.{fmt}"
+            assert run_cli(["validate", "--input", str(path), "--format", fmt]) == 2
+            assert capsys.readouterr().err == f"data error: {path}: No such file or directory\n"
+
+    def test_header_without_member_columns_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("sample_id,label,split,family\n")
+        assert run_cli(["validate", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"data error: {path}: header column 4 must be 'm0', got '<missing>'\n"
 
     @pytest.mark.parametrize(
         "fmt, content",
@@ -236,6 +245,22 @@ class TestFit:
     def test_missing_target_is_usage_error(self, dataset_csv):
         assert run_cli(["fit", "--input", str(dataset_csv), "--variant", "g"]) == 1
 
+    def test_no_validation_rows_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("sample_id,label,split,family,m0,m1\nb0,0,test,,0.1,0.2\nm0,1,test,,0.8,0.9\n")
+        outdir = tmp_path / "out"
+        assert run_cli(["fit", "--input", str(path), "--output-dir", str(outdir),
+                        "--variant", "g", "--target-fpr", "0.01"]) == 2
+        assert capsys.readouterr().err == "data error: input has no records in the 'validation' split\n"
+        assert not outdir.exists()
+
+    def test_negative_max_sweeps_exits_3(self, dataset_csv, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        assert run_cli(["fit", "--input", str(dataset_csv), "--output-dir", str(outdir),
+                        "--variant", "g+l", "--target-fpr", "0.01", "--max-sweeps", "-1"]) == 3
+        assert capsys.readouterr().err == "error: max_sweeps must be nonnegative\n"
+        assert not (outdir / "calibration_g+l_0.01.json").exists()
+
 
 class TestUnresolvableTarget:
     """fit, eval and the protocol study warn, on stderr only, when the budget admits no false positive on their split.
@@ -389,6 +414,20 @@ class TestEval:
                         "--target-fpr", "0.001"]) == 0
         first_row = (outdir / "evaluation.csv").read_text().strip().splitlines()[1]
         assert float(first_row.split(",")[0]) == 0.001
+
+    def test_single_class_test_split_exits_3(self, tmp_path, capsys):
+        rows = ["sample_id,label,split,family,m0,m1"]
+        for i in range(20):
+            rows += [f"vb{i},0,validation,,{0.01 * i:.2f},0.1", f"vm{i},1,validation,,0.9,0.7", f"tb{i},0,test,,0.2,0.3"]
+        path, outdir = tmp_path / "data.csv", tmp_path / "out"
+        path.write_text("\n".join(rows) + "\n")
+        assert run_cli(["fit", "--input", str(path), "--output-dir", str(outdir),
+                        "--variant", "g", "--target-fpr", "0.1"]) == 0
+        capsys.readouterr()
+        assert run_cli(["eval", "--input", str(path), "--output-dir", str(outdir),
+                        "--calibration", str(outdir / "calibration_g_0.1.json")]) == 3
+        assert capsys.readouterr().err == "error: evaluation needs at least one positive and one negative test sample\n"
+        assert not (outdir / "evaluation.csv").exists()
 
     def test_member_count_mismatch_exits_3(self, dataset_csv, tmp_path):
         outdir = tmp_path / "out"
@@ -584,6 +623,16 @@ class TestStudy:
         groups = {line.split(",")[1] for line in lines[1:]}
         assert groups == {"correct", "incorrect"}
 
+    def test_errors_study_warns_on_an_empty_group(self, tmp_path, capsys):
+        path = tmp_path / "benign.csv"
+        path.write_text("sample_id,label,split,family,m0,m1\nb0,0,test,,0.1,0.2\nb1,0,test,,0.3,0.2\n")
+        outdir = tmp_path / "out"
+        assert run_cli(["study", "--input", str(path), "--output-dir", str(outdir),
+                        "--study", "errors", "--threshold", "2"]) == 0
+        assert capsys.readouterr().err == "warning: one correctness group is empty\n"
+        lines = (outdir / "errors.csv").read_text().strip().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["b0", "correct"], ["b1", "correct"]]
+
     def test_errors_study_nan_threshold_exits_3(self, dataset_csv, tmp_path, capsys):
         outdir = tmp_path / "out"
         assert run_cli(["study", "--input", str(dataset_csv), "--output-dir", str(outdir),
@@ -623,6 +672,17 @@ class TestStudy:
         outdir = tmp_path / "out"
         assert run_cli(["study", "--input", str(data), "--output-dir", str(outdir), "--study", "novelty"]) == 0
         assert (outdir / "novelty.csv").read_bytes() == expected.read_bytes()
+
+    def test_novelty_study_warns_on_an_empty_group(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n_benign": 200, "n_malicious": 200, "seed": 3}))
+        data = tmp_path / "nov.csv"
+        assert run_cli(["synth", "--config", str(config_path), "--output", str(data)]) == 0
+        capsys.readouterr()
+        outdir = tmp_path / "out"
+        assert run_cli(["study", "--input", str(data), "--output-dir", str(outdir), "--study", "novelty"]) == 0
+        assert capsys.readouterr().err == "warning: one novelty group is empty\n"
+        assert (outdir / "novelty.csv").exists()
 
     def test_novelty_without_tags_exits_3(self, tmp_path):
         rows = ["sample_id,label,split,family,m0,m1"]

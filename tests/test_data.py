@@ -11,7 +11,6 @@ from lowfpr import data
 from lowfpr.data import (
     DatasetError,
     PredictionDataset,
-    _take,
     filter_split,
     load_dataset,
     save_dataset,
@@ -54,6 +53,22 @@ class TestRoundTrip:
         save_dataset(ds, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_unknown_format_rejected(self, tmp_path):
+        path = tmp_path / "data.xml"
+        message = "^format must be one of \\('csv', 'jsonl'\\), got 'xml'$"
+        with pytest.raises(ValueError, match=message):
+            save_dataset(make_dataset(), path, "xml")
+        assert not path.exists()
+        with pytest.raises(ValueError, match=message):
+            load_dataset(path, "xml")
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_missing_file_named_as_the_os_names_it(self, tmp_path, fmt):
+        path = tmp_path / f"absent.{fmt}"
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(path, fmt)
+        assert str(exc.value) == f"{path}: No such file or directory"
+
 
 class TestCsvValidation:
     HEADER = "sample_id,label,split,family,m0,m1\n"
@@ -85,6 +100,24 @@ class TestCsvValidation:
         path.write_text("sample_id,label,family,m0\nx,0,,0.5\n")
         with pytest.raises(DatasetError, match="split"):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("sample_id,label,family,m0", "header column 2 must be 'split', got 'family'"),
+            ("sample_id,label,split", "header column 3 must be 'family', got '<missing>'"),
+            ("sample_id,label,split,family", "header column 4 must be 'm0', got '<missing>'"),
+            ("sample_id,label,split,family,x", "header column 4 must be 'm0', got 'x'"),
+            ("sample_id,label,split,family,m0,m2", "header column 5 must be 'm1', got 'm2'"),
+        ],
+        ids=["fixed column", "fixed column missing", "no member column", "member column", "member order"],
+    )
+    def test_header_checked_against_the_written_header(self, tmp_path, header, message):
+        path = tmp_path / "d.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_bad_label(self, tmp_path):
         with pytest.raises(DatasetError, match="label"):
@@ -196,16 +229,6 @@ class TestSubsample:
             np.testing.assert_array_equal(_cell_rows(n, fraction, seed, fi), want)
         assert _cell_rows(10, 0.5, 3, 1).tolist() == [3, 7, 4, 2, 0]
 
-    def test_rows_stay_aligned(self):
-        ds = make_dataset(n=40, seed=8)
-        out = _take(ds, _cell_rows(len(ds), 0.5, 3, 0))
-        lookup = {sid: i for i, sid in enumerate(ds.sample_ids)}
-        for j, sid in enumerate(out.sample_ids):
-            i = lookup[sid]
-            assert out.labels[j] == ds.labels[i]
-            assert out.families[j] == ds.families[i]
-            np.testing.assert_array_equal(out.scores[j], ds.scores[i])
-
 
 COLUMNS = ("sample_ids", "labels", "splits", "families", "scores")
 
@@ -232,7 +255,7 @@ class TestImmutability:
         ds = make_dataset(n=40, seed=6)
         path = tmp_path / f"d.{fmt}"
         save_dataset(ds, path, fmt)
-        derived = [load_dataset(path, fmt), filter_split(ds, "validation"), _take(ds, _cell_rows(len(ds), 0.5, 1, 0))]
+        derived = [load_dataset(path, fmt), filter_split(ds, "validation")]
         for got in derived:
             public = PredictionDataset(**{name: getattr(got, name) for name in COLUMNS})
             assert_same_columns(got, public)
@@ -253,7 +276,6 @@ class TestImmutability:
 
         monkeypatch.setattr(PredictionDataset, "__post_init__", revalidate)
         assert len(filter_split(ds, "validation")) == 30
-        assert len(_take(ds, _cell_rows(len(ds), 0.5, 3, 0))) == 15
         assert len(load_dataset(path)) == 30
         assert len(load_dataset(jsonl, "jsonl")) == 30
         assert_same_columns(load_dataset(quoted), ds)  # quotes send a CSV down the row path
@@ -676,6 +698,20 @@ class TestColumnRules:
             load_dataset(path, fmt)
         assert str(exc.value) == f"{path}: {csv_message if fmt == 'csv' else jsonl_message}"
         assert row_path == [path]
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (dict(scores=[0.1, 0.2, 0.3]), "scores must be 2-dimensional, got shape (3,)"),
+            (dict(labels=[0, 0, 0]), "labels has length 3, expected 2"),
+        ],
+        ids=["1-D scores", "column length"],
+    )
+    def test_constructor_shape_rules(self, columns, message):
+        valid = dict(sample_ids=["a", "b"], labels=[0, 1], splits=["train", "test"], families=[None, None], scores=[[0.1], [0.9]])
+        with pytest.raises(DatasetError) as exc:
+            PredictionDataset(**{**valid, **columns})
+        assert str(exc.value) == message
 
     def test_bool_and_whole_float_labels_accepted(self):
         for labels in ([False, True], [0.0, 1.0]):

@@ -4,13 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from lowfpr.data import PredictionDataset, _take, filter_split
+from lowfpr.data import PredictionDataset, filter_split
 from lowfpr.protocol import (
     ProtocolCurvePoint,
     StudyRow,
     _cell_rows,
     _class_scores,
-    _mean_scores,
     _rel_error,
     relative_error_curve,
     subsampling_study,
@@ -81,7 +80,7 @@ class TestProtocolEvals:
             relative_error_curve(val, test, [])
         empty = filter_split(test, "train")  # empty under this scenario
         for a, b in ((empty, test), (val, empty)):
-            with pytest.raises(ValueError, match="^dataset is empty$"):
+            with pytest.raises(ValueError, match="^protocol evaluation needs both classes present$"):
                 relative_error_curve(a, b, [1e-2])
         one_class = _tiny([0.2, 0.3], [0, 0])
         for a, b in ((one_class, test), (val, one_class)):
@@ -183,17 +182,18 @@ class TestSubsamplingStudy:
         assert serial == threaded
 
     def test_cells_match_public_composition(self, splits):
-        """Each cell equals the drawn rows' dataset -> mean scores -> select_threshold -> evaluate_at_threshold."""
+        """Each cell equals the drawn rows' mean scores -> select_threshold -> evaluate_at_threshold."""
         val, test = splits
         one_row = 1e-9
         # 1/n_neg: at fraction 1.0 the budget admits exactly one false positive, the attainable boundary
         fractions, targets, seeds = [1.0, 0.5, 0.01], [1e-1, 1e-2, 1e-3, 1 / int((val.labels == 0).sum())], [0, 7]
-        test_scores, test_labels = _mean_scores(test)
+        test_scores, test_labels = test.scores.mean(axis=1), test.labels
         invalid_ops = [select_threshold(test_scores, test_labels, t) for t in targets]
         expected = []
         for fi, f in enumerate(fractions):
             for s in seeds:
-                scores, labels = _mean_scores(_take(val, _cell_rows(len(val), f, s, fi)))
+                rows = _cell_rows(len(val), f, s, fi)
+                scores, labels = val.scores[rows].mean(axis=1), val.labels[rows]
                 n_neg = int((labels == 0).sum())
                 for t, inv in zip(targets, invalid_ops):
                     selected = select_threshold(scores, labels, t)
@@ -202,7 +202,8 @@ class TestSubsamplingStudy:
                     expected.append(StudyRow(f, s, t, op.tpr, op.fpr, inv.tpr, _rel_error(inv.tpr, op.tpr), attainable))
         assert any(r.attainable for r in expected) and not all(r.attainable for r in expected)
         with pytest.raises(ValueError) as public:
-            _class_scores(*_mean_scores(_take(val, _cell_rows(len(val), one_row, seeds[0], 1))))
+            rows = _cell_rows(len(val), one_row, seeds[0], 1)
+            _class_scores(val.scores[rows].mean(axis=1), val.labels[rows])
         for threads in (1, 3):
             assert subsampling_study(val, test, fractions, targets, seeds, threads=threads) == expected
             with pytest.raises(ValueError) as exc:

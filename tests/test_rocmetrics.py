@@ -106,6 +106,16 @@ class TestRocCurve:
         with pytest.raises(ValueError):
             roc_curve([0.1, 0.9], [1, 1])
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [([1], "scores and labels differ in length: 2 vs 1"), ([0, 2], "labels must be 0 or 1")],
+        ids=["length", "label value"],
+    )
+    def test_bad_labels_rejected(self, labels, message):
+        with pytest.raises(ValueError) as exc:
+            roc_curve([0.1, 0.2], labels)
+        assert str(exc.value) == message
+
 
 class TestAuc:
     def test_interleaved_example(self):

@@ -91,6 +91,8 @@ class TestSynthConfig:
             SynthConfig(split_fractions=(0.5, 0.6, -0.1))
         with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
             SynthConfig(seed=-1)
+        with pytest.raises(ValueError, match="^member_noise_sd_base must be nonnegative$"):
+            SynthConfig(member_noise_sd_base=-1.0)
         # Wrongly typed JSON values name their key instead of failing later with a TypeError.
         bad_types = {
             "n_benign": ("x", "n_benign must be an integer, got 'x'"),
