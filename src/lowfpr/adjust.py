@@ -15,7 +15,8 @@ coordinate is minimized over its bracket with Brent's method, where the inner
 objective rescores all samples, re-selects the global threshold at
 multiplier * target_fpr (one partition of the negative scores), and returns
 the negated TPR. The multiplier (default 0.9) backs the fit off the budget so
-that test-time FPR overshoots stay rare; evaluation always uses the true target.
+that test-time FPR overshoots stay rare. Evaluation rescores the same per-class
+columns as the fit (``_classes``; ``_apply`` is elementwise) at the true target.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data import DatasetError, PredictionDataset, _is_number, _read_json
-from .rocmetrics import OperatingPoint, _budget_count, _check_target_fpr, _select, combined_metric, evaluate_at_threshold
+from .rocmetrics import OperatingPoint, _budget_count, _check_target_fpr, _rates, _select, combined_metric
 from .rocmetrics import select_threshold  # noqa: F401  (kept as adjust.select_threshold: perfbench's tracer test wraps it)
 from .uncertainty import compute_uncertainties
 
@@ -266,6 +267,15 @@ def load_calibration(path: str | Path) -> CalibrationResult:
         raise DatasetError(f"{path}: {exc}") from None
 
 
+def _classes(ds: PredictionDataset, needs: str) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(yhat, epistemic, aleatoric) of the malicious rows, then of the benign rows; ValueError(needs) unless both occur."""
+    is_pos = ds.labels == 1
+    if is_pos.all() or not is_pos.any():  # an empty split too
+        raise ValueError(needs)
+    table = compute_uncertainties(ds)
+    return [(table.yhat[m], table.epistemic[m], table.aleatoric[m]) for m in (is_pos, ~is_pos)]
+
+
 class CalibrationEvaluation(NamedTuple):
     tpr: float
     actualized_fpr: float
@@ -303,18 +313,12 @@ def fit_local(
     _check_target_fpr(target_fpr)
     if not (0.0 < multiplier and multiplier * target_fpr < 1.0):
         raise ValueError(f"multiplier {multiplier!r} puts the fit budget outside (0, 1)")
-    n_pos = int(val.labels.sum())
-    if len(val) == 0 or n_pos == 0 or n_pos == len(val):
-        raise ValueError("fitting needs at least one positive and one negative validation sample")
+    classes = _classes(val, "fitting needs at least one positive and one negative validation sample")
     if max_sweeps < 0:
         raise ValueError("max_sweeps must be nonnegative")
     if math.isnan(sweep_tol):
         raise ValueError(f"sweep_tol must not be NaN, got {sweep_tol!r}")
-    table = compute_uncertainties(val)
-    is_pos = val.labels == 1
-    # _apply is elementwise, so rescoring each class alone equals rescoring all.
-    classes = [(table.yhat[m], table.epistemic[m], table.aleatoric[m]) for m in (is_pos, ~is_pos)]
-    k = _budget_count(int(np.count_nonzero(~is_pos)), multiplier * target_fpr)
+    k = _budget_count(classes[1][0].size, multiplier * target_fpr)
     brackets = COORDINATE_BRACKETS[variant]
 
     def operating_point(alpha_vec: np.ndarray) -> OperatingPoint:
@@ -347,7 +351,7 @@ def fit_local(
             break
     final_op = operating_point(alpha)
     return CalibrationResult(
-        params=AdjustmentParams(variant, tuple(float(x) for x in alpha)),
+        params=AdjustmentParams(variant, alpha),
         global_threshold=final_op.threshold,
         target_fpr=target_fpr,
         fit_fpr_multiplier=multiplier,
@@ -367,12 +371,8 @@ def evaluate_calibration(
             f"member count mismatch: calibration was fit on {result.member_count} members, "
             f"test data has {test.member_count}"
         )
-    labels = test.labels
-    n_pos = int(labels.sum())
-    if len(test) == 0 or n_pos == 0 or n_pos == len(test):
-        raise ValueError("evaluation needs at least one positive and one negative test sample")
+    classes = _classes(test, "evaluation needs at least one positive and one negative test sample")
     target = result.target_fpr if target_fpr is None else target_fpr
-    table = compute_uncertainties(test)
-    adjusted = _apply(result.params.variant, table.yhat, table.epistemic, table.aleatoric, result.params.alpha)
-    op = evaluate_at_threshold(adjusted, labels, result.global_threshold)
+    pos, neg = (_apply(result.params.variant, y, e, a, result.params.alpha) for y, e, a in classes)
+    op = _rates(pos, neg, result.global_threshold)
     return CalibrationEvaluation(op.tpr, op.fpr, combined_metric(op.tpr, op.fpr, target))

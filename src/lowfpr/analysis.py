@@ -155,8 +155,7 @@ def _normal_two_sided(ranks: np.ndarray, w_plus: float, n: int) -> float:
     _, counts = np.unique(ranks, return_counts=True)
     var -= float((counts.astype(np.float64) ** 3 - counts).sum()) / 48.0
     z = (abs(w_plus - mu) - 0.5) / math.sqrt(var)  # continuity correction
-    if z < 0.0:
-        z = 0.0
+    # For z < 0, erfc exceeds 1 and the min gives 1.0, as z = 0 would.
     return min(1.0, math.erfc(z / math.sqrt(2.0)))
 
 

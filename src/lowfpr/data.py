@@ -54,6 +54,7 @@ import numpy as np
 SPLIT_NAMES = ("train", "validation", "test")
 
 _FIXED_COLUMNS = ("sample_id", "label", "split", "family")
+_MEMBER_COLUMN = "m{}"  # member k's CSV column, also its name in messages
 _COLUMNS = ("sample_ids", "labels", "splits", "families", "scores")
 _FORMATS = ("csv", "jsonl")
 
@@ -157,7 +158,7 @@ def _column_fault(ids, labels, splits, families, scores: np.ndarray) -> str | No
         bad = ~((scores >= 0.0) & (scores <= 1.0))
     if bad.any():
         i, j = np.unravel_index(int(np.argmax(bad)), scores.shape)
-        return f"score m{j}={float(scores[i, j])!r} outside [0, 1] for sample '{ids[i]}'"
+        return f"score {_MEMBER_COLUMN.format(j)}={float(scores[i, j])!r} outside [0, 1] for sample '{ids[i]}'"
     bad = (labels == 0) & (families != None)  # noqa: E711  (elementwise)
     if bad.any():
         i = int(np.argmax(bad))
@@ -190,7 +191,7 @@ def _check_format(fmt: str) -> str:
 
 def _csv_header(member_count: int) -> list[str]:
     """The CSV header of a dataset with ``member_count`` members: the fixed columns, then m0, m1, ..."""
-    return [*_FIXED_COLUMNS, *(f"m{k}" for k in range(member_count))]
+    return [*_FIXED_COLUMNS, *map(_MEMBER_COLUMN.format, range(member_count))]
 
 
 def _csv_columns(path: Path) -> PredictionDataset | None:
@@ -229,34 +230,28 @@ def _csv_columns(path: Path) -> PredictionDataset | None:
 
 
 def _csv_rows(path: Path) -> PredictionDataset:
+    """Check a CSV's header, then hand its rows to ``_from_records``; a csv.Error in either names its line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            return _csv_records(path, reader)
+            if (header := next(reader, None)) is None:
+                raise DatasetError(f"{path}: empty file, expected a header row")
+            t = len(header) - len(_FIXED_COLUMNS)
+            for k, name in enumerate(_csv_header(max(t, 1))):
+                if (got := header[k] if k < len(header) else "<missing>") != name:
+                    raise DatasetError(f"{path}: header column {k} must be '{name}', got '{got}'")
+
+            def records():
+                for lineno, row in enumerate(reader, start=2):
+                    if not row:
+                        continue
+                    if len(row) != len(header):
+                        raise DatasetError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
+                    yield lineno, row[0], row[1], row[2], row[3] or None, row[4:]
+
+            return _from_records(path, records(), _MEMBER_COLUMN, t)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
-
-
-def _csv_records(path: Path, reader) -> PredictionDataset:
-    """Check a CSV reader's header, then hand its rows to ``_from_records``."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DatasetError(f"{path}: empty file, expected a header row") from None
-    t = len(header) - len(_FIXED_COLUMNS)
-    for k, name in enumerate(_csv_header(max(t, 1))):
-        if (got := header[k] if k < len(header) else "<missing>") != name:
-            raise DatasetError(f"{path}: header column {k} must be '{name}', got '{got}'")
-
-    def records():
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DatasetError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
-            yield lineno, row[0], row[1], row[2], row[3] or None, row[4:]
-
-    return _from_records(path, records(), "m{}", t)
 
 
 def _jsonl_rows(path: Path) -> PredictionDataset:

@@ -35,14 +35,14 @@ class RocCurve:
 
 def _score_label_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     s = np.asarray(scores, dtype=np.float64).ravel()
-    y = np.asarray(labels).ravel().astype(np.int64)
+    y = np.asarray(labels).ravel()
     if s.shape != y.shape:
         raise ValueError(f"scores and labels differ in length: {s.shape[0]} vs {y.shape[0]}")
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")
-    if np.any((y != 0) & (y != 1)):
+    if y.dtype.kind not in "biuf" or not np.isin(y, (0, 1)).all():  # checked before the cast, which truncates 0.5 to 0
         raise ValueError("labels must be 0 or 1")
-    return s, y
+    return s, y.astype(np.int64)
 
 
 def _distinct_counts(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

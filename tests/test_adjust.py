@@ -287,18 +287,38 @@ class TestFitLocal:
         with pytest.raises(ValueError):
             fit_local(only_pos, 1e-2, Variant.LV1)
 
+    def test_rejects_empty_validation(self, hetero_val):
+        val, _ = hetero_val
+        empty = filter_split(val, "train")
+        assert len(empty) == 0
+        with pytest.raises(ValueError, match="^fitting needs at least one positive and one negative validation sample$"):
+            fit_local(empty, 1e-2, Variant.LV1)
+
 
 class TestEvaluateCalibration:
     def test_global_matches_direct_evaluation(self, hetero_val):
+        # Every variant, against a reference that rescores the whole split and evaluates it in one call.
         val, test = hetero_val
-        result = fit_global(val, 1e-2)
-        ev = evaluate_calibration(test, result)
         from lowfpr.rocmetrics import combined_metric, evaluate_at_threshold
 
-        op = evaluate_at_threshold(test.scores.mean(axis=1), test.labels, result.global_threshold)
-        assert ev.tpr == op.tpr
-        assert ev.actualized_fpr == op.fpr
-        assert ev.combined == combined_metric(op.tpr, op.fpr, 1e-2)
+        t = compute_uncertainties(test)
+        np.testing.assert_array_equal(t.yhat, test.scores.mean(axis=1))
+        for variant in Variant:
+            result = fit_local(val, 1e-2, variant, seed=3)
+            assert variant is Variant.GLOBAL_ONLY or any(result.params.alpha)
+            ev = evaluate_calibration(test, result)
+            adjusted = _apply(variant, t.yhat, t.epistemic, t.aleatoric, result.params.alpha)
+            op = evaluate_at_threshold(adjusted, test.labels, result.global_threshold)
+            assert ev.tpr == op.tpr
+            assert ev.actualized_fpr == op.fpr
+            assert ev.combined == combined_metric(op.tpr, op.fpr, 1e-2)
+
+    def test_empty_split_rejected(self, hetero_val):
+        val, test = hetero_val
+        empty = filter_split(test, "train")
+        assert len(empty) == 0
+        with pytest.raises(ValueError, match="^evaluation needs at least one positive and one negative test sample$"):
+            evaluate_calibration(empty, fit_global(val, 1e-2))
 
     def test_sentinel_threshold_scores_zero(self, hetero_val):
         val, test = hetero_val

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lowfpr.analysis import (
+    WilcoxonResult,
     ensemble_vs_members,
     uncertainty_by_correctness,
     uncertainty_by_novelty,
@@ -111,6 +112,11 @@ class TestWilcoxon:
         assert res.n == n and res.statistic == n * (n + 1) / 2.0
         assert res.p_value == pytest.approx(math.erfc(z / math.sqrt(2.0)), rel=1e-12)
         assert 0.0 < res.p_value < 1e-5
+
+    def test_statistic_at_the_null_mean_has_p_one(self):
+        # W+ = mu = 126.5 puts the continuity-corrected z below 0, where erfc exceeds 1.
+        res = wilcoxon_signed_rank([1.0] * 11 + [-1.0] * 11)
+        assert res == WilcoxonResult(statistic=126.5, p_value=1.0, n=22, degenerate=False)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

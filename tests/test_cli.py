@@ -112,6 +112,14 @@ class TestValidate:
         assert run_cli(["no-such-command"]) == 1
         assert run_cli(["validate", "--input", "x", "--format", "xml"]) == 1
 
+    def test_interrupt_aborts_with_exit_1(self, monkeypatch, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("lowfpr.cli.load_dataset", interrupted)
+        assert run_cli(["validate", "--input", "x"]) == 1
+        assert capsys.readouterr().err == "\naborted\n"
+
 
 class TestSynth:
     def test_reruns_are_byte_identical(self, tmp_path):
@@ -136,6 +144,14 @@ class TestSynth:
         out = tmp_path / "data.jsonl"
         assert run_cli(["synth", "--config", str(config_path), "--output", str(out), "--format", "jsonl"]) == 0
         assert run_cli(["validate", "--input", str(out), "--format", "jsonl"]) == 0
+
+    def test_default_scenario_without_config(self, tmp_path, monkeypatch):
+        config = SynthConfig(**small_config(n_benign=30, n_malicious=20, seed=4))
+        monkeypatch.setattr("lowfpr.synth.default_scenario", lambda: config)
+        out = tmp_path / "data.csv"
+        assert run_cli(["synth", "--output", str(out)]) == 0
+        ds = load_dataset(out)
+        assert (len(ds), int(ds.labels.sum()), ds.member_count) == (50, 20, 5)
 
     def test_bad_config_exits_3(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -253,6 +269,15 @@ class TestFit:
                         "--variant", "g", "--target-fpr", "0.01"]) == 2
         assert capsys.readouterr().err == "data error: input has no records in the 'validation' split\n"
         assert not outdir.exists()
+
+    def test_single_class_validation_split_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("sample_id,label,split,family,m0,m1\nb0,0,validation,,0.1,0.2\nm0,1,test,,0.8,0.9\n")
+        outdir = tmp_path / "out"
+        assert run_cli(["fit", "--input", str(path), "--output-dir", str(outdir),
+                        "--variant", "g", "--target-fpr", "0.01"]) == 3
+        assert capsys.readouterr().err == "error: fitting needs at least one positive and one negative validation sample\n"
+        assert not (outdir / "calibration_g_0.01.json").exists()
 
     def test_negative_max_sweeps_exits_3(self, dataset_csv, tmp_path, capsys):
         outdir = tmp_path / "out"

@@ -108,13 +108,36 @@ class TestRocCurve:
 
     @pytest.mark.parametrize(
         "labels, message",
-        [([1], "scores and labels differ in length: 2 vs 1"), ([0, 2], "labels must be 0 or 1")],
-        ids=["length", "label value"],
+        [
+            ([1], "scores and labels differ in length: 2 vs 1"),
+            ([0, 2], "labels must be 0 or 1"),
+            ([0.5, 1], "labels must be 0 or 1"),
+            ([1.7, 0], "labels must be 0 or 1"),
+            ([1 + 0j, 0], "labels must be 0 or 1"),
+            (["0", "1"], "labels must be 0 or 1"),
+            ([None, 1], "labels must be 0 or 1"),
+        ],
+        ids=["length", "label value", "fraction", "fraction above 1", "complex", "text", "None"],
     )
     def test_bad_labels_rejected(self, labels, message):
+        # Checked before the int64 cast, which would read 0.5 as 0 and 1.7 as 1.
         with pytest.raises(ValueError) as exc:
             roc_curve([0.1, 0.2], labels)
         assert str(exc.value) == message
+
+    def test_bad_labels_rejected_by_every_entry_point(self):
+        for call in (
+            lambda: select_threshold([0.1, 0.9], [0.5, 1], 0.5),
+            lambda: evaluate_at_threshold([0.1, 0.9], [0.5, 1], 0.5),
+            lambda: accuracy([0.1, 0.9], [0.5, 1], 0.5),
+        ):
+            with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+                call()
+
+    def test_bool_and_float_labels_accepted(self):
+        expect = evaluate_at_threshold([0.1, 0.9], [0, 1], 0.5)
+        assert evaluate_at_threshold([0.1, 0.9], [False, True], 0.5) == expect
+        assert evaluate_at_threshold([0.1, 0.9], [0.0, 1.0], 0.5) == expect
 
 
 class TestAuc:
