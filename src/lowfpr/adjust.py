@@ -327,15 +327,13 @@ def fit_local(
 
     alpha = np.zeros(len(brackets), dtype=np.float64)
     best_tpr = operating_point(alpha).tpr
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    # Only lv2 and lv3 draw their order, so only their fits import numpy.random.
+    rng = None if variant in (Variant.GLOBAL_ONLY, Variant.LV1) else np.random.Generator(np.random.Philox(key=seed))
     sweeps_used = 0
     # A variant without coordinates (global_only) has nothing to sweep.
     for _ in range(max_sweeps if brackets else 0):
         tpr_at_sweep_start = best_tpr
-        if variant is Variant.LV1:
-            order = np.arange(len(brackets))
-        else:
-            order = rng.permutation(len(brackets))
+        order = np.arange(len(brackets)) if rng is None else rng.permutation(len(brackets))
         for i in order:
             def coordinate_objective(x: float, i: int = int(i)) -> float:
                 trial = alpha.copy()

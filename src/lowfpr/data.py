@@ -138,15 +138,22 @@ class PredictionDataset:
         return int(self.scores.shape[1])
 
 
+def _bad_labels(labels: np.ndarray) -> np.ndarray:
+    """Where the 1-D ``labels`` break the package's label rule: each entry, of any dtype, must equal 0 or 1
+    and be neither complex nor a timedelta (1+0j and a 1 s timedelta equal 1)."""
+    bad = ~np.isin(labels, (0, 1)) | (labels.dtype.kind in "cm")
+    if labels.dtype.kind == "O":
+        bad |= np.array([isinstance(x, (complex, np.complexfloating)) for x in labels.tolist()], dtype=bool)
+    return bad
+
+
 def _column_fault(ids, labels, splits, families, scores: np.ndarray) -> str | None:
     """The message for the first row that breaks a column rule, or None when every row keeps them.
 
     The rules, in the order they are checked: labels are 0 or 1, splits are
     known, scores lie in [0, 1], benign rows carry no family tag, ids are unique.
     """
-    bad = ~np.isin(labels, (0, 1))
-    if labels.dtype.kind in "cO":  # 1+0j == 1, yet a complex number is no label
-        bad |= np.array([isinstance(x, (complex, np.complexfloating)) for x in labels.tolist()], dtype=bool)
+    bad = _bad_labels(labels)
     if bad.any():
         i = int(np.argmax(bad))
         return f"label must be 0 or 1, got {labels[i : i + 1].tolist()[0]!r} for sample '{ids[i]}'"
@@ -205,17 +212,17 @@ def _csv_columns(path: Path) -> PredictionDataset | None:
     t = len(header) - len(_FIXED_COLUMNS)
     if t < 1 or header != _csv_header(t):
         return None
-    body = lines[1:]
+    del lines[0]  # the body stays in this one list, freed as soon as it is parsed
     # A line no longer than csv's field limit holds no field over it.
-    if not any(body) or max(map(len, body)) > csv.field_size_limit():
+    if not any(lines) or max(map(len, lines)) > csv.field_size_limit():
         return None
     dtype = np.dtype([(name, object) for name in _FIXED_COLUMNS] + [("scores", np.float64, (t,))])
     try:
         # Skips empty lines, as csv.reader does, and raises on a wrong field count.
-        rows = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
     except ValueError:
         return None
-    del body
+    del lines
     # Only "0" and "1" pass as labels here ("1.0" is left to the row path).
     malicious = rows["label"] == "1"
     if not (malicious | (rows["label"] == "0")).all():
@@ -223,6 +230,7 @@ def _csv_columns(path: Path) -> PredictionDataset | None:
     ids, splits = np.array(rows["sample_id"], dtype=object), np.array(rows["split"], dtype=object)
     families = np.where(rows["family"] == "", None, rows["family"])
     scores = np.ascontiguousarray(rows["scores"], dtype=np.float64)
+    del rows
     # The bools check as the labels would (False == 0, True == 1); int64 labels come after, off the memory peak.
     if _column_fault(ids, malicious, splits, families, scores) is not None:
         return None

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _bad_labels
+
 
 @dataclass(frozen=True)
 class OperatingPoint:
@@ -40,7 +42,7 @@ def _score_label_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"scores and labels differ in length: {s.shape[0]} vs {y.shape[0]}")
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")
-    if y.dtype.kind not in "biuf" or not np.isin(y, (0, 1)).all():  # checked before the cast, which truncates 0.5 to 0
+    if _bad_labels(y).any():  # checked before the cast, which truncates 0.5 to 0
         raise ValueError("labels must be 0 or 1")
     return s, y.astype(np.int64)
 

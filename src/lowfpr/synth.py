@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SPLIT_NAMES, DatasetError, PredictionDataset, _is_number, _read_json
+from .data import SPLIT_NAMES, DatasetError, PredictionDataset, _column_fault, _is_number, _read_json
 
 # Stream constant of the data stream. Arbitrary but frozen; changing it
 # changes every dataset. Other streams of the same seed are independent of it.
@@ -126,12 +126,14 @@ def load_config(path: str | Path) -> SynthConfig:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
+    """The logistic map of ``x``, written over ``x`` and returned; exp sees only -|x|, so it cannot overflow."""
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    np.negative(x, out=x, where=pos)
+    np.exp(x, out=x)
+    den = np.add(1.0, x)
+    np.divide(1.0, den, out=x, where=pos)
+    np.divide(x, den, out=x, where=np.logical_not(pos, out=pos))
+    return x
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -168,11 +170,14 @@ def _generate_with(config: SynthConfig, rng: np.random.Generator) -> PredictionD
     noise_sd = np.where(elevated, config.member_noise_sd_novel, config.member_noise_sd_base)
 
     latents = means + rng.normal(0.0, config.logit_sd, size=n)
-    noise = rng.normal(0.0, 1.0, size=(n, t)) * noise_sd[:, None]
-    scores = _sigmoid(latents[:, None] + noise)
-    # The logistic map keeps open-interval values in (0, 1); extreme logits can
-    # still round to the endpoints, which the dataset schema allows.
-    np.clip(scores, 0.0, 1.0, out=scores)
+    del means
+    # The member noise is drawn into the array that becomes the scores. The logistic
+    # map may round extreme logits to 0 or 1, which the dataset schema allows.
+    scores = rng.normal(0.0, 1.0, size=(n, t))
+    scores *= noise_sd[:, None]
+    scores += latents[:, None]
+    del latents, noise_sd
+    _sigmoid(scores)
 
     splits = rng.choice(np.array(SPLIT_NAMES, dtype=object), size=n, p=config.split_fractions)
     is_novel = np.zeros(n, dtype=bool)
@@ -185,14 +190,11 @@ def _generate_with(config: SynthConfig, rng: np.random.Generator) -> PredictionD
     families[n - n_novel :] = _NOVEL_FAMILIES[rng.integers(0, _NOVEL_FAMILIES.size, size=n_novel)]
 
     labels = np.concatenate([np.zeros(nb, dtype=np.int64), np.ones(nm, dtype=np.int64)])
-    ids = np.array([f"syn-{i}" for i in range(n)], dtype=object)
-    return PredictionDataset(
-        sample_ids=ids,
-        labels=labels,
-        splits=splits,
-        families=families,
-        scores=scores,
-    )
+    ids = np.fromiter(map("syn-{}".format, range(n)), dtype=object, count=n)
+    # The columns already have the constructor's types, so they are checked and wrapped, not copied.
+    if (fault := _column_fault(ids, labels, splits, families, scores)) is not None:
+        raise DatasetError(fault)
+    return PredictionDataset._trusted(ids, labels, splits, families, scores)
 
 
 def generate(config: SynthConfig) -> PredictionDataset:

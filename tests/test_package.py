@@ -108,6 +108,20 @@ class TestImportFootprint:
     def test_protocol_leaves_thread_pool_unloaded(self, cli_env):
         assert loaded_after("import lowfpr.protocol", cli_env, ["concurrent.futures"]) == []
 
+    def test_fits_that_draw_no_order_leave_numpy_random_unloaded(self, cli_env):
+        fit = (
+            "import numpy as np\n"
+            "from lowfpr.adjust import fit_local\n"
+            "from lowfpr.data import PredictionDataset\n"
+            "ds = PredictionDataset(sample_ids=[str(i) for i in range(20)], labels=[i % 2 for i in range(20)],\n"
+            "                       splits=['validation'] * 20, families=[None] * 20,\n"
+            "                       scores=np.linspace(0.01, 0.99, 40).reshape(20, 2))\n"
+            "fit_local(ds, 0.1, {!r})"
+        )
+        for variant in ("global_only", "lv1"):  # the g and g+l fits
+            assert loaded_after(fit.format(variant), cli_env, ["numpy.random"]) == []
+        assert loaded_after(fit.format("lv2"), cli_env, ["numpy.random"]) == ["numpy.random"]
+
 
 class TestProcessEntry:
     def test_script_target_is_the_process_entry(self):

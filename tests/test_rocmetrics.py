@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from lowfpr.data import PredictionDataset
 from lowfpr.rocmetrics import (
     OperatingPoint,
     _budget_count,
@@ -16,6 +17,18 @@ from lowfpr.rocmetrics import (
     roc_curve,
     select_threshold,
 )
+
+
+# Label arrays that roc_curve([0.1, 0.2], labels) rejects, with its message.
+BAD_LABELS = {
+    "length": ([1], "scores and labels differ in length: 2 vs 1"),
+    "label value": ([0, 2], "labels must be 0 or 1"),
+    "fraction": ([0.5, 1], "labels must be 0 or 1"),
+    "fraction above 1": ([1.7, 0], "labels must be 0 or 1"),
+    "complex": ([1 + 0j, 0], "labels must be 0 or 1"),
+    "text": (["0", "1"], "labels must be 0 or 1"),
+    "None": ([None, 1], "labels must be 0 or 1"),
+}
 
 
 def brute_force_points(scores, labels):
@@ -106,19 +119,7 @@ class TestRocCurve:
         with pytest.raises(ValueError):
             roc_curve([0.1, 0.9], [1, 1])
 
-    @pytest.mark.parametrize(
-        "labels, message",
-        [
-            ([1], "scores and labels differ in length: 2 vs 1"),
-            ([0, 2], "labels must be 0 or 1"),
-            ([0.5, 1], "labels must be 0 or 1"),
-            ([1.7, 0], "labels must be 0 or 1"),
-            ([1 + 0j, 0], "labels must be 0 or 1"),
-            (["0", "1"], "labels must be 0 or 1"),
-            ([None, 1], "labels must be 0 or 1"),
-        ],
-        ids=["length", "label value", "fraction", "fraction above 1", "complex", "text", "None"],
-    )
+    @pytest.mark.parametrize("labels, message", list(BAD_LABELS.values()), ids=list(BAD_LABELS))
     def test_bad_labels_rejected(self, labels, message):
         # Checked before the int64 cast, which would read 0.5 as 0 and 1.7 as 1.
         with pytest.raises(ValueError) as exc:
@@ -138,6 +139,30 @@ class TestRocCurve:
         expect = evaluate_at_threshold([0.1, 0.9], [0, 1], 0.5)
         assert evaluate_at_threshold([0.1, 0.9], [False, True], 0.5) == expect
         assert evaluate_at_threshold([0.1, 0.9], [0.0, 1.0], 0.5) == expect
+
+    @pytest.mark.parametrize(
+        "labels, accepted",
+        [(labels, False) for labels, _ in BAD_LABELS.values()]
+        + [
+            (np.array([0, 1], dtype=object), True),
+            ([False, True], True),
+            ([0.0, 1.0], True),
+            (np.array([0, 1], dtype="m8[s]"), False),
+        ],
+        ids=[*BAD_LABELS, "object", "bool", "whole float", "timedelta"],
+    )
+    def test_dataset_and_roc_share_one_label_rule(self, labels, accepted):
+        def verdict(call) -> bool:
+            try:
+                call()
+            except ValueError:  # DatasetError is one
+                return False
+            return True
+
+        in_dataset = verdict(lambda: PredictionDataset(
+            sample_ids=["a", "b"], labels=labels, splits=["train", "test"], families=[None, None], scores=[[0.1], [0.2]]
+        ))
+        assert (in_dataset, verdict(lambda: roc_curve([0.1, 0.2], labels))) == (accepted, accepted)
 
 
 class TestAuc:
