@@ -1,19 +1,20 @@
-"""Batch command-line surface over datasets on disk.
+"""Batch command-line surface over datasets on disk, parsed with the standard library's argparse.
 
 Commands: validate, fit, eval, study, synth. Outputs are deterministic for a
 fixed seed; reruns and different --threads values produce byte-identical
-files. Exit codes: 0 success, 1 usage error, 2 data validation error,
-3 numeric or fit failure. `study` and `synth` import their modules in their
-own bodies, so a `fit` or `eval` process never loads them.
+files. Exit codes: 0 success or --help, 1 usage error (one stderr line,
+``Error: …``; no option may be abbreviated) or interrupt, 2 data validation
+error, 3 numeric or fit failure. `study` and `synth` import their modules in
+their own bodies, so a `fit` or `eval` process never loads them.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import sys
 from pathlib import Path
 
-import click
 import numpy as np
 
 from . import adjust
@@ -30,13 +31,27 @@ VARIANT_LABELS = {
     "g+lv3": adjust.Variant.LV3,
 }
 
-_input_option = click.option("--input", "input_path", required=True, help="Dataset file to read.")
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(_FORMATS), default="csv", show_default=True, help="Dataset file format."
-)
-_output_dir_option = click.option(
-    "--output-dir", default=".", show_default=True, help="Directory for output files (created if missing)."
-)
+
+class _UsageError(Exception):
+    """A malformed command line; ``main`` prints it as one ``Error: …`` line and exits 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
+def _int_range(lo: int, hi: int | None = None) -> type[argparse.Action]:
+    """An argparse action that stores an int option within [lo, hi] (no upper bound when ``hi`` is None)."""
+    bounds = f"x>={lo}" if hi is None else f"{lo}<=x<={hi}"
+
+    class InRange(argparse.Action):
+        def __call__(self, parser, namespace, value, option_string=None):
+            if value < lo or (hi is not None and value > hi):
+                parser.error(f"Invalid value for {option_string!r}: {value} is not in the range {bounds}.")
+            setattr(namespace, self.dest, value)
+
+    return InRange
 
 
 def _split_or_die(ds, split: str):
@@ -58,18 +73,18 @@ def _warn_if_unresolvable(target_fpr: float, part, split: str, multiplier: float
         what = f"fit budget {multiplier:g} x {what} = {budget:g}"
     if _budget_count(n_neg, budget) == 0:
         msg = f"{what} is below 1/{n_neg}, one false positive among the {n_neg} {split} negatives"
-        click.echo(f"warning: {msg}; no nonzero FPR on this split fits the budget", err=True)
+        print(f"warning: {msg}; no nonzero FPR on this split fits the budget", file=sys.stderr)
 
 
 def _echo_summary(ds, head: str, novel: np.ndarray | None = None) -> None:
     """Print the dataset's size after ``head``, then one line per split; a row mask ``novel`` adds its count."""
-    click.echo(f"{head}: {len(ds)} records, {ds.member_count} members")
+    print(f"{head}: {len(ds)} records, {ds.member_count} members")
     for split in SPLIT_NAMES:
         mask = ds.splits == split
         n = int(mask.sum())
         pos = int(ds.labels[mask].sum())
         extra = "" if novel is None else f", {int((mask & novel).sum())} novel-family"
-        click.echo(f"  {split}: {n} records ({pos} malicious, {n - pos} benign{extra})")
+        print(f"  {split}: {n} records ({pos} malicious, {n - pos} benign{extra})")
 
 
 def _outdir(path: str) -> Path:
@@ -78,206 +93,164 @@ def _outdir(path: str) -> Path:
     return out
 
 
-@click.group()
-def cli() -> None:
-    """Threshold calibration and evaluation under low false-positive budgets."""
-
-
-@cli.command("validate")
-@_input_option
-@_format_option
-def cmd_validate(input_path: str, fmt: str) -> None:
+def cmd_validate(args: argparse.Namespace) -> None:
     """Check a dataset file against the schema and print a summary."""
-    _echo_summary(load_dataset(input_path, fmt), "ok")
+    _echo_summary(load_dataset(args.input, args.format), "ok")
 
 
-@cli.command("fit")
-@_input_option
-@_format_option
-@_output_dir_option
-@click.option(
-    "--variant",
-    type=click.Choice(sorted(VARIANT_LABELS)),
-    default="g",
-    show_default=True,
-    help="g: global threshold only; g+l, g+lv2, g+lv3: with a local adjustment.",
-)
-@click.option("--target-fpr", type=float, required=True, help="False-positive-rate budget for the fit.")
-@click.option("--multiplier", type=float, default=0.9, show_default=True, help="Fit-time fraction of the FPR budget.")
-@click.option("--seed", type=click.IntRange(0, 2**128 - 1), default=0, show_default=True)
-@click.option("--sweep-tol", type=float, default=1e-6, show_default=True, help="Per-sweep TPR improvement cutoff.")
-@click.option("--max-sweeps", type=int, default=50, show_default=True)
-def cmd_fit(
-    input_path: str,
-    fmt: str,
-    output_dir: str,
-    variant: str,
-    target_fpr: float,
-    multiplier: float,
-    seed: int,
-    sweep_tol: float,
-    max_sweeps: int,
-) -> None:
+def cmd_fit(args: argparse.Namespace) -> None:
     """Fit a calibration on the validation split and write it as JSON."""
-    ds = load_dataset(input_path, fmt)
-    val = _split_or_die(ds, "validation")
-    v = VARIANT_LABELS[variant]
+    val = _split_or_die(load_dataset(args.input, args.format), "validation")
+    v, target, multiplier = VARIANT_LABELS[args.variant], args.target_fpr, args.multiplier
     result = adjust.fit_local(
-        val, target_fpr, v, seed=seed, multiplier=multiplier, sweep_tol=sweep_tol, max_sweeps=max_sweeps
+        val, target, v, seed=args.seed, multiplier=multiplier, sweep_tol=args.sweep_tol, max_sweeps=args.max_sweeps
     )
-    _warn_if_unresolvable(target_fpr, val, "validation", multiplier)
-    out = _outdir(output_dir) / f"calibration_{variant}_{target_fpr:g}.json"
+    _warn_if_unresolvable(target, val, "validation", multiplier)
+    out = _outdir(args.output_dir) / f"calibration_{args.variant}_{target:g}.json"
     adjust.save_calibration(result, out)
     op = result.achieved_val
-    click.echo(f"fitted {variant} @ target_fpr={target_fpr:g}: threshold={op.threshold!r} tpr={op.tpr!r} fpr={op.fpr!r}")
-    click.echo(f"wrote {out}")
+    print(f"fitted {args.variant} @ target_fpr={target:g}: threshold={op.threshold!r} tpr={op.tpr!r} fpr={op.fpr!r}")
+    print(f"wrote {out}")
 
 
-@cli.command("eval")
-@_input_option
-@_format_option
-@_output_dir_option
-@click.option("--calibration", "calibration_path", required=True, help="Calibration JSON produced by fit.")
-@click.option("--target-fpr", type=float, default=None, help="Override the calibration's target FPR.")
-def cmd_eval(input_path: str, fmt: str, output_dir: str, calibration_path: str, target_fpr: float | None) -> None:
+def cmd_eval(args: argparse.Namespace) -> None:
     """Evaluate a fitted calibration on the test split."""
-    ds = load_dataset(input_path, fmt)
-    test = _split_or_die(ds, "test")
-    result = adjust.load_calibration(calibration_path)
-    outcome = adjust.evaluate_calibration(test, result, target_fpr)
-    target = result.target_fpr if target_fpr is None else target_fpr
+    test = _split_or_die(load_dataset(args.input, args.format), "test")
+    result = adjust.load_calibration(args.calibration)
+    outcome = adjust.evaluate_calibration(test, result, args.target_fpr)
+    target = result.target_fpr if args.target_fpr is None else args.target_fpr
     _warn_if_unresolvable(target, test, "test")
-    out = _outdir(output_dir) / "evaluation.csv"
+    out = _outdir(args.output_dir) / "evaluation.csv"
     columns = [[value] for value in (target, *outcome)]
     _write_csv(out, ("target_fpr", "tpr", "actualized_fpr", "combined"), columns, lineterminator="\n")
-    click.echo(f"tpr={outcome.tpr!r} actualized_fpr={outcome.actualized_fpr!r} combined={outcome.combined!r}")
-    click.echo(f"wrote {out}")
+    print(f"tpr={outcome.tpr!r} actualized_fpr={outcome.actualized_fpr!r} combined={outcome.combined!r}")
+    print(f"wrote {out}")
 
 
-@cli.command("study")
-@_input_option
-@_format_option
-@_output_dir_option
-@click.option(
-    "--study",
-    "study_name",
-    type=click.Choice(["protocol", "subsample", "table1", "errors", "novelty"]),
-    required=True,
-    help="Which analysis to run.",
-)
-@click.option(
-    "--target-fpr",
-    "target_fprs",
-    type=float,
-    multiple=True,
-    help="Target FPR (repeatable). Default grid: 1e-2 1e-3 1e-4 1e-5.",
-)
-@click.option("--fractions", default="1,0.1,0.01", show_default=True, help="Subsample fractions, comma separated.")
-@click.option("--study-seeds", type=click.IntRange(min=1), default=20, show_default=True, help="Subsample study seeds.")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Subsample study base seed.")
-@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True, help="Subsample study threads.")
-@click.option("--fpr-max", type=float, default=1e-3, show_default=True, help="Partial-AUC cut for the table1 study.")
-@click.option("--threshold", type=float, default=0.5, show_default=True, help="Decision threshold for the errors study.")
-@click.option(
-    "--measure",
-    type=click.Choice(MEASURES),
-    default="epistemic",
-    show_default=True,
-    help="Uncertainty measure for the errors/novelty studies.",
-)
-def cmd_study(
-    input_path: str,
-    fmt: str,
-    output_dir: str,
-    study_name: str,
-    target_fprs: tuple[float, ...],
-    fractions: str,
-    study_seeds: int,
-    seed: int,
-    threads: int,
-    fpr_max: float,
-    threshold: float,
-    measure: str,
-) -> None:
+def cmd_study(args: argparse.Namespace) -> None:
     """Run one of the bundled studies and write its CSV."""
     from . import analysis, protocol
 
-    targets = list(target_fprs) if target_fprs else list(DEFAULT_TARGET_GRID)
-    ds = load_dataset(input_path, fmt)
-    out = _outdir(output_dir) / f"{study_name}.csv"
-    if study_name in ("protocol", "subsample"):
+    study = args.study
+    targets = args.target_fpr or list(DEFAULT_TARGET_GRID)
+    ds = load_dataset(args.input, args.format)
+    out = _outdir(args.output_dir) / f"{study}.csv"
+    if study in ("protocol", "subsample"):
         val = _split_or_die(ds, "validation")
     test = _split_or_die(ds, "test")
-    if study_name == "protocol":
+    if study == "novelty":
+        known = set(ds.families[ds.splits != "test"].tolist()) - {None}
+    del ds
+    if study == "protocol":
         points = protocol.relative_error_curve(val, test, targets)
         for t in targets:
             _warn_if_unresolvable(t, val, "validation")
         protocol.write_protocol_csv(points, out)
-    elif study_name == "subsample":
+    elif study == "subsample":
         try:
-            fraction_list = [float(f) for f in fractions.split(",") if f.strip() != ""]
+            fractions = [float(f) for f in args.fractions.split(",") if f.strip() != ""]
         except ValueError:
-            fraction_list = []
-        if not fraction_list:
-            raise click.UsageError(f"--fractions must be comma-separated numbers, got {fractions!r}")
-        rows = protocol.subsampling_study(
-            val, test, fraction_list, targets, seeds=[seed + k for k in range(study_seeds)], threads=threads
-        )
+            fractions = []
+        if not fractions:
+            raise _UsageError(f"--fractions must be comma-separated numbers, got {args.fractions!r}")
+        seeds = [args.seed + k for k in range(args.study_seeds)]
+        rows = protocol.subsampling_study(val, test, fractions, targets, seeds=seeds, threads=args.threads)
         protocol.write_study_csv(rows, out)
-    elif study_name == "table1":
-        rows = analysis.ensemble_vs_members(test, fpr_max=fpr_max)
+    elif study == "table1":
+        rows = analysis.ensemble_vs_members(test, fpr_max=args.fpr_max)
         analysis.write_comparison_csv(rows, out)
-    elif study_name == "errors":
-        split_result = analysis.uncertainty_by_correctness(test, threshold, measure)
+    elif study == "errors":
+        split_result = analysis.uncertainty_by_correctness(test, args.threshold, args.measure)
         split_result.write_csv(out)
         if split_result.has_empty_group:
-            click.echo("warning: one correctness group is empty", err=True)
+            print("warning: one correctness group is empty", file=sys.stderr)
     else:  # novelty
-        known = set(ds.families[ds.splits != "test"].tolist()) - {None}
-        split_result = analysis.uncertainty_by_novelty(test, known, measure)
+        split_result = analysis.uncertainty_by_novelty(test, known, args.measure)
         split_result.write_csv(out)
         if split_result.has_empty_group:
-            click.echo("warning: one novelty group is empty", err=True)
-    click.echo(f"wrote {out}")
+            print("warning: one novelty group is empty", file=sys.stderr)
+    print(f"wrote {out}")
 
 
-@cli.command("synth")
-@_format_option
-@click.option("--config", "config_path", default=None, help="Generator config JSON; defaults to the default scenario.")
-@click.option("--output", "output_path", required=True, help="Dataset file to write.")
-@click.option("--seed", type=click.IntRange(min=0), default=None, help="Override the config's seed.")
-def cmd_synth(fmt: str, config_path: str | None, output_path: str, seed: int | None) -> None:
+def cmd_synth(args: argparse.Namespace) -> None:
     """Generate a synthetic dataset and write it to disk."""
     from . import synth
 
-    if config_path is None:
-        config = synth.default_scenario()
-    else:
-        config = synth.load_config(config_path)
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
+    config = synth.default_scenario() if args.config is None else synth.load_config(args.config)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
     ds = synth.generate(config)
-    save_dataset(ds, output_path, fmt)
-    _echo_summary(ds, f"wrote {output_path}", np.isin(ds.families, synth._NOVEL_FAMILIES))
+    save_dataset(ds, args.output, args.format)
+    _echo_summary(ds, f"wrote {args.output}", np.isin(ds.families, synth._NOVEL_FAMILIES))
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The command line: one subparser per command, one ``add_argument`` per option."""
+    parser = _Parser(prog="lowfpr", description="Threshold calibration and evaluation at low FPR.", allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, run, *, reads: bool = True, writes_dir: bool = True):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        if reads:
+            sub.add_argument("--input", required=True, help="Dataset file to read.")
+        sub.add_argument("--format", choices=_FORMATS, default="csv", help="Dataset format (default: %(default)s).")
+        if writes_dir:
+            sub.add_argument("--output-dir", default=".", help="Directory for output files, created if missing.")
+        return sub.add_argument
+
+    command("validate", cmd_validate, writes_dir=False)
+
+    add = command("fit", cmd_fit)
+    add("--variant", choices=VARIANT_LABELS, default="g", help="g: global, g+l*: plus local (default: %(default)s).")
+    add("--target-fpr", type=float, required=True, help="False-positive-rate budget for the fit.")
+    add("--multiplier", type=float, default=0.9, help="Fit-time fraction of the FPR budget (default: %(default)s).")
+    add("--seed", type=int, action=_int_range(0, 2**128 - 1), default=0, help="Fit seed (default: %(default)s).")
+    add("--sweep-tol", type=float, default=1e-6, help="Per-sweep TPR improvement cutoff (default: %(default)s).")
+    add("--max-sweeps", type=int, default=50, help="Coordinate sweep cap (default: %(default)s).")
+
+    add = command("eval", cmd_eval)
+    add("--calibration", required=True, help="Calibration JSON produced by fit.")
+    add("--target-fpr", type=float, help="Override the calibration's target FPR.")
+
+    add = command("study", cmd_study)
+    add("--study", choices=("protocol", "subsample", "table1", "errors", "novelty"), required=True, help="The study.")
+    add("--target-fpr", type=float, action="append", help="Target FPR (repeatable). Default grid: 1e-2 1e-3 1e-4 1e-5.")
+    add("--fractions", default="1,0.1,0.01", help="Subsample fractions, comma separated (default: %(default)s).")
+    add("--study-seeds", type=int, action=_int_range(1), default=20, help="Subsample seeds (default: %(default)s).")
+    add("--seed", type=int, action=_int_range(0), default=0, help="Subsample study base seed (default: %(default)s).")
+    add("--threads", type=int, action=_int_range(1), default=1, help="Subsample study threads (default: %(default)s).")
+    add("--fpr-max", type=float, default=1e-3, help="Partial-AUC cut for the table1 study (default: %(default)s).")
+    add("--threshold", type=float, default=0.5, help="Decision threshold of the errors study (default: %(default)s).")
+    add("--measure", choices=MEASURES, default="epistemic", help="Errors/novelty study measure (default: %(default)s).")
+
+    add = command("synth", cmd_synth, reads=False, writes_dir=False)
+    add("--config", help="Generator config JSON; defaults to the default scenario.")
+    add("--output", required=True, help="Dataset file to write.")
+    add("--seed", type=int, action=_int_range(0), help="Override the config's seed.")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point translating failures into the documented exit codes."""
+    """Run one command. Returns 0 on success and after --help; each failure prints one stderr line and exits."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Abort:
-        click.echo("aborted", err=True)
-        sys.exit(1)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(1)
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit:  # after --help; a malformed command line raises _UsageError instead
+            return 0
+        args.run(args)
+    except _UsageError as exc:
+        code, line = 1, f"Error: {exc}"
+    except KeyboardInterrupt:
+        code, line = 1, "\naborted"
     except DatasetError as exc:
-        click.echo(f"data error: {exc}", err=True)
-        sys.exit(2)
+        code, line = 2, f"data error: {exc}"
     except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
-    return 0
+        code, line = 3, f"error: {exc}"
+    else:
+        return 0
+    print(line, file=sys.stderr)
+    sys.exit(code)
 
 
-__all__ = ["cli", "main", "DEFAULT_TARGET_GRID", "VARIANT_LABELS"]
+__all__ = ["main", "DEFAULT_TARGET_GRID", "VARIANT_LABELS"]

@@ -24,10 +24,12 @@ and field. Each format's reader only splits its lines into records; one row
 checker, ``_from_records``, applies the schema's rules to the records of both
 formats. An unreadable or non-UTF-8 file raises DatasetError naming it.
 
-Datasets are immutable; all column arrays are read-only so downstream code can
-share them without copying. ``PredictionDataset(...)`` validates and copies
-its columns. No load validates twice: the loaders and ``filter_split`` build
-their results from columns that are already valid through the private
+Every loader fills the ``splits`` column with the three ``SPLIT_NAMES``
+objects themselves, not one parsed string per row. Datasets are immutable;
+all column arrays are read-only so downstream code can share them without
+copying. ``PredictionDataset(...)`` validates and copies its columns. No
+load validates twice: the loaders and ``filter_split`` build their results
+from columns that are already valid through the private
 ``PredictionDataset._trusted``, which skips that validation.
 
 Every CSV table the package writes, datasets and study results alike, goes
@@ -52,6 +54,8 @@ from pathlib import Path
 import numpy as np
 
 SPLIT_NAMES = ("train", "validation", "test")
+# A split field's text -> its object in SPLIT_NAMES, so that a loaded split column holds three objects, not n strings.
+_SHARED_SPLITS = {name: name for name in SPLIT_NAMES}
 
 _FIXED_COLUMNS = ("sample_id", "label", "split", "family")
 _MEMBER_COLUMN = "m{}"  # member k's CSV column, also its name in messages
@@ -218,8 +222,9 @@ def _csv_columns(path: Path) -> PredictionDataset | None:
         return None
     dtype = np.dtype([(name, object) for name in _FIXED_COLUMNS] + [("scores", np.float64, (t,))])
     try:
-        # Skips empty lines, as csv.reader does, and raises on a wrong field count.
-        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        # Skips empty lines, as csv.reader does, and raises on a wrong field count. The split field (column 2)
+        # becomes its SPLIT_NAMES object, or None when unknown, which the column check then rejects.
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1, converters={2: _SHARED_SPLITS.get})
     except ValueError:
         return None
     del lines
@@ -317,7 +322,7 @@ def _from_records(path: Path, records, field_name: str, member_count: int | None
         seen[sample_id] = lineno
         if label not in ("0", "1"):
             raise fault(f"label must be 0 or 1, got {label!r}")
-        if split not in SPLIT_NAMES:
+        if (shared_split := _SHARED_SPLITS.get(split)) is None:
             raise fault(f"unknown split {split!r}")
         if label == "0" and family is not None:
             raise fault(f"benign sample '{sample_id}' carries family tag '{family}'")
@@ -341,7 +346,7 @@ def _from_records(path: Path, records, field_name: str, member_count: int | None
             scores.append(value)
         ids.append(sample_id)
         malicious.append(label == "1")
-        splits.append(split)
+        splits.append(shared_split)
         families.append(family)
     if t is None:
         raise DatasetError(f"{path}: no records, cannot infer member count")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lowfpr.analysis import uncertainty_by_novelty
-from lowfpr.cli import cli, main
+from lowfpr.cli import main
 from lowfpr.data import filter_split, load_dataset
 from lowfpr.protocol import relative_error_curve, write_protocol_csv
 from lowfpr.synth import SynthConfig
@@ -111,6 +111,39 @@ class TestValidate:
         assert run_cli(["validate"]) == 1
         assert run_cli(["no-such-command"]) == 1
         assert run_cli(["validate", "--input", "x", "--format", "xml"]) == 1
+
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (["validate"], "the following arguments are required: --input"),
+            (
+                ["no-such-command"],
+                "argument command: invalid choice: 'no-such-command' "
+                "(choose from 'validate', 'fit', 'eval', 'study', 'synth')",
+            ),
+            ([], "the following arguments are required: command"),
+            (
+                ["validate", "--input", "x", "--format", "xml"],
+                "argument --format: invalid choice: 'xml' (choose from 'csv', 'jsonl')",
+            ),
+            (
+                ["fit", "--input", "x", "--target-fpr", "0.01", "--variant", "l"],
+                "argument --variant: invalid choice: 'l' (choose from 'g', 'g+l', 'g+lv2', 'g+lv3')",
+            ),
+            (["eval", "--input", "x", "--calibration", "c", "--target", "1"], "unrecognized arguments: --target 1"),
+            (["synth", "--output", "x", "--seed", "-1"], "Invalid value for '--seed': -1 is not in the range x>=0."),
+        ],
+        ids=["missing-option", "unknown-command", "no-command", "format", "variant", "abbreviation", "seed"],
+    )
+    def test_usage_error_is_one_line(self, tmp_path, monkeypatch, capsys, args, line):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(args) == 1
+        assert capsys.readouterr() == ("", f"Error: {line}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_command_help_returns_0(self, capsys):
+        assert main(["fit", "--help"]) == 0
+        assert "--target-fpr" in capsys.readouterr().out
 
     def test_interrupt_aborts_with_exit_1(self, monkeypatch, capsys):
         def interrupted(*args, **kwargs):
@@ -578,7 +611,7 @@ class TestStudy:
     def test_empty_fractions_usage_error(self, dataset_csv, tmp_path, capsys, fractions):
         assert run_cli(["study", "--input", str(dataset_csv), "--output-dir", str(tmp_path),
                         "--study", "subsample", "--fractions", fractions]) == 1
-        assert f"Error: --fractions must be comma-separated numbers, got {fractions!r}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"Error: --fractions must be comma-separated numbers, got {fractions!r}\n"
         assert not (tmp_path / "subsample.csv").exists()
 
     @pytest.mark.parametrize("option", ["--threads", "--study-seeds"])
@@ -736,8 +769,8 @@ class TestModuleInvocation:
         assert "data error" in proc.stderr
 
 
-def test_readme_cli_synopsis_names_every_option():
-    """Each command's lines of the README's CLI block name every one of its --options."""
+def test_readme_cli_synopsis_names_every_option(capsys):
+    """Each command's lines of the README's CLI block name every one of the --options its --help lists."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
     synopsis, name = {}, None
@@ -745,8 +778,12 @@ def test_readme_cli_synopsis_names_every_option():
         if line.startswith("lowfpr "):
             name = line.split()[1]
         synopsis[name] = synopsis.get(name, "") + line + "\n"
-    assert set(synopsis) == set(cli.commands)
-    for name, command in cli.commands.items():
-        options = [opt for param in command.params for opt in param.opts if opt.startswith("--")]
-        missing = [opt for opt in options if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", synopsis[name])]
+    assert main(["--help"]) == 0
+    commands = re.search(r"\{([\w,]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert set(synopsis) == set(commands)
+    for name in commands:
+        assert main([name, "--help"]) == 0
+        options = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out)) - {"--help"}
+        assert options
+        missing = [o for o in sorted(options) if not re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", synopsis[name])]
         assert not missing, (name, missing)

@@ -233,6 +233,16 @@ class TestSubsample:
 COLUMNS = ("sample_ids", "labels", "splits", "families", "scores")
 
 
+@pytest.mark.parametrize("fmt, load", [("csv", load_dataset), ("csv", data._csv_rows), ("jsonl", load_dataset)])
+def test_loaded_splits_are_the_shared_names(tmp_path, fmt, load):
+    """Every loader's split column holds the three SPLIT_NAMES objects, not one string per row."""
+    path = tmp_path / f"data.{fmt}"
+    config = replace(default_scenario(seed=2), n_benign=60, n_malicious=60, split_fractions=(0.4, 0.3, 0.3))
+    save_dataset(generate(config), path, fmt)
+    ds = load(path, fmt) if load is load_dataset else load(path)
+    assert {id(s) for s in ds.splits} == {id(name) for name in data.SPLIT_NAMES}
+
+
 def assert_same_columns(got, want):
     """Equal values, dtypes, layout and element types, column by column."""
     for name in COLUMNS:

@@ -105,6 +105,9 @@ class TestImportFootprint:
         unused = ("lowfpr.analysis", "lowfpr.protocol", "lowfpr.synth", "concurrent.futures")
         assert loaded_after("import lowfpr.cli", cli_env, unused) == []
 
+    def test_cli_loads_no_click(self, cli_env):
+        assert loaded_after("import lowfpr.cli", cli_env, ["click"]) == []
+
     def test_protocol_leaves_thread_pool_unloaded(self, cli_env):
         assert loaded_after("import lowfpr.protocol", cli_env, ["concurrent.futures"]) == []
 
