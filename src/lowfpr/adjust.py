@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import DatasetError, PredictionDataset, _is_number, _read_json
+from .data import DatasetError, PredictionDataset, _integer, _is_number, _read_json
 from .rocmetrics import OperatingPoint, _budget_count, _check_target_fpr, _rates, _select, combined_metric
 from .rocmetrics import select_threshold  # noqa: F401  (kept as adjust.select_threshold: perfbench's tracer test wraps it)
 from .uncertainty import compute_uncertainties
@@ -253,7 +253,7 @@ class CalibrationResult:
 
 
 def save_calibration(result: CalibrationResult, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         json.dump(result.to_dict(), fh, indent=2)
         fh.write("\n")
 
@@ -311,6 +311,7 @@ def fit_local(
     """
     variant = Variant(variant)
     _check_target_fpr(target_fpr)
+    seed = _integer("seed", seed)
     if not (0.0 < multiplier and multiplier * target_fpr < 1.0):
         raise ValueError(f"multiplier {multiplier!r} puts the fit budget outside (0, 1)")
     classes = _classes(val, "fitting needs at least one positive and one negative validation sample")

@@ -54,6 +54,27 @@ def _int_range(lo: int, hi: int | None = None) -> type[argparse.Action]:
     return InRange
 
 
+def _attach_numbers(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--option`` joined to a following token that float() reads, as ``--option=token``.
+
+    argparse takes a token such as ``-1e-3`` or ``-inf`` for an option name, where this makes it the
+    option's value. Every long option but ``--help`` takes a value.
+    """
+    out: list[str] = []
+    for token in argv:
+        option = out[-1] if out else ""
+        if option.startswith("--") and "=" not in option and option not in ("--", "--help") and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{option}={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def _split_or_die(ds, split: str):
     part = filter_split(ds, split)
     if len(part) == 0:
@@ -235,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command. Returns 0 on success and after --help; each failure prints one stderr line and exits."""
     try:
         try:
-            args = _parser().parse_args(argv)
+            args = _parser().parse_args(_attach_numbers(sys.argv[1:] if argv is None else argv))
         except SystemExit:  # after --help; a malformed command line raises _UsageError instead
             return 0
         args.run(args)

@@ -13,7 +13,10 @@ path below; CSV has two. Its bulk path parses the file with one ``np.loadtxt``
 call and hands the columns to one column check, ``_column_fault``, which holds
 the schema's rules: labels are 0 or 1, splits are known, scores lie in [0, 1],
 benign rows carry no family tag, ids are unique. It names the first offending
-row; ``PredictionDataset(...)`` raises DatasetError with that message.
+row; ``PredictionDataset(...)`` raises DatasetError with that message. Ids
+are checked for uniqueness on a sorted int64 array of their ``hash()``
+values, 8 bytes a row, not on a set of the ids; only when two hashes are
+equal does an in-order scan look for the first repeat.
 
 When that check fails, or a CSV holds anything that ``np.loadtxt`` might read
 differently from ``csv.reader`` and ``float()`` (a quote, a carriage return
@@ -174,7 +177,11 @@ def _column_fault(ids, labels, splits, families, scores: np.ndarray) -> str | No
     if bad.any():
         i = int(np.argmax(bad))
         return f"benign sample '{ids[i]}' carries family tag '{families[i]}'"
-    if len(set(ids)) != len(ids):
+    # Equal ids hash equal, so distinct sorted hashes mean unique ids. An equal pair, a repeat or a
+    # hash collision, goes to the scan that names the first repeat.
+    hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
+    hashes.sort()
+    if (hashes[1:] == hashes[:-1]).any():
         seen: set[str] = set()
         for s in ids:
             if s in seen:
@@ -299,6 +306,19 @@ def _is_number(value, kinds=(int, float)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _integer(name: str, value, minimum: int = 0) -> int:
+    """``value`` as an int when it is a Python or numpy integer, not a bool, of at least ``minimum``.
+
+    Anything else, a float or a string among them, raises ValueError naming ``name``.
+    """
+    if not _is_number(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return int(value)
+
+
 def _from_records(path: Path, records, field_name: str, member_count: int | None) -> PredictionDataset:
     """Check row records against the schema, the first broken rule raising DatasetError naming its line.
 
@@ -377,7 +397,7 @@ def save_dataset(ds: PredictionDataset, path: str | Path, format: str = "csv") -
         return
     scores = ", ".join(["%r"] * ds.member_count)
     template = f'{{"id": %s, "label": %d, "split": %s, "family": %s, "scores": [{scores}]}}\n'
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         for lo in range(0, len(ds), _WRITE_BLOCK):
             hi = lo + _WRITE_BLOCK
             ids, splits, families = (

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PredictionDataset, _field_columns, _write_csv
+from .data import PredictionDataset, _field_columns, _integer, _write_csv
 from .rocmetrics import OperatingPoint, _budget_count, _check_target_fpr, _rates, _select
 from .uncertainty import _ensemble_scores
 
@@ -146,7 +146,7 @@ def subsampling_study(
         if not (0.0 < f <= 1.0):
             raise ValueError(f"fraction must be in (0, 1], got {f!r}")
     targets = _check_targets(target_fprs)
-    seeds = [int(s) for s in seeds]
+    seeds = [_integer("seed", s) for s in seeds]
     if not seeds:
         raise ValueError("seeds is empty")
     if threads < 1:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SPLIT_NAMES, DatasetError, PredictionDataset, _column_fault, _is_number, _read_json
+from .data import SPLIT_NAMES, DatasetError, PredictionDataset, _column_fault, _integer, _is_number, _read_json
 
 # Stream constant of the data stream. Arbitrary but frozen; changing it
 # changes every dataset. Other streams of the same seed are independent of it.
@@ -58,7 +58,9 @@ class SynthConfig:
     def __post_init__(self) -> None:
         for name, value in asdict(self).items():
             default = getattr(SynthConfig, name)  # its type is the field's, as in from_dict
-            if not isinstance(default, int):
+            if isinstance(default, int):
+                object.__setattr__(self, name, _integer(name, value, minimum=1 if name == "member_count" else 0))
+            else:
                 try:
                     floats = tuple(map(float, value if isinstance(default, tuple) else (value,)))
                 except OverflowError:
@@ -67,10 +69,6 @@ class SynthConfig:
                     if not math.isfinite(v):
                         raise ValueError(f"{name} must be finite, got {v!r}")
                 object.__setattr__(self, name, floats if isinstance(default, tuple) else floats[0])
-        if self.n_benign < 0 or self.n_malicious < 0:
-            raise ValueError("sample counts must be nonnegative")
-        if self.member_count < 1:
-            raise ValueError("member_count must be at least 1")
         for name in ("novel_fraction", "ambiguous_benign_fraction", "ambiguous_malicious_fraction"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
@@ -87,8 +85,6 @@ class SynthConfig:
             raise ValueError("split_fractions must be three nonnegative numbers")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ValueError(f"split_fractions must sum to 1, got {sum(self.split_fractions)!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -104,8 +100,8 @@ class SynthConfig:
             if isinstance(default, tuple):
                 ok = isinstance(value, (list, tuple)) and len(value) == 3 and all(map(_is_number, value))
                 kind = "a list of three numbers"
-            elif isinstance(default, int):
-                ok, kind = _is_number(value, int), "an integer"
+            elif isinstance(default, int):  # __post_init__ checks the integer fields
+                continue
             else:
                 ok, kind = _is_number(value), "a number"
             if not ok:

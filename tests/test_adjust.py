@@ -192,6 +192,28 @@ class TestFitGlobal:
             fit_global(val, 0.5, multiplier=3.0)
 
 
+class TestFitSeed:
+    """The fit seed is a nonnegative integer, checked before the fit and stored as an int."""
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "3"], ids=["float", "negative", "bool", "string"])
+    @pytest.mark.parametrize("fit", ["global", "lv1"])
+    def test_bad_seed_rejected(self, hetero_val, fit, seed):
+        val, _ = hetero_val
+        message = f"seed must be nonnegative, got {seed!r}" if seed == -1 else f"seed must be an integer, got {seed!r}"
+        with pytest.raises(ValueError) as exc:
+            fit_global(val, 1e-2, seed=seed) if fit == "global" else fit_local(val, 1e-2, Variant.LV1, seed=seed)
+        assert str(exc.value) == message
+
+    def test_numpy_seed_stored_as_int(self, tmp_path, hetero_val):
+        val, _ = hetero_val
+        assert type(fit_global(val, 1e-2, seed=np.int64(3)).seed) is int
+        result = fit_local(val, 1e-2, Variant.LV2, seed=np.int64(3), max_sweeps=1)
+        assert type(result.seed) is int and result == fit_local(val, 1e-2, Variant.LV2, seed=3, max_sweeps=1)
+        path = tmp_path / "cal.json"
+        save_calibration(result, path)  # json cannot write a numpy integer
+        assert load_calibration(path) == result
+
+
 class TestFitLocal:
     def test_zero_sweeps_matches_global(self, hetero_val):
         val, _ = hetero_val

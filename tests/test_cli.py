@@ -141,6 +141,16 @@ class TestValidate:
         assert capsys.readouterr() == ("", f"Error: {line}\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_negative_number_is_an_option_value(self, dataset_csv, tmp_path, capsys):
+        # argparse alone reads -1e-3 and -inf as option names and reports the option as missing its value.
+        out = tmp_path / "out"
+        for target in (["--target-fpr", "-1e-3"], ["--target-fpr=-1e-3"]):
+            assert run_cli(["fit", "--input", str(dataset_csv), "--output-dir", str(out), *target]) == 3
+            assert capsys.readouterr().err == "error: target_fpr must be in (0, 1), got -0.001\n"
+        args = ["study", "--input", str(dataset_csv), "--output-dir", str(out), "--study", "errors", "--threshold", "-inf"]
+        assert run_cli(args) == 0
+        assert (out / "errors.csv").read_text().startswith("sample_id,group,value\n")
+
     def test_command_help_returns_0(self, capsys):
         assert main(["fit", "--help"]) == 0
         assert "--target-fpr" in capsys.readouterr().out

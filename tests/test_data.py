@@ -744,3 +744,42 @@ class TestColumnRules:
         with pytest.raises(DatasetError) as exc:
             PredictionDataset(sample_ids=["a"], labels=[label], splits=["train"], families=[None], scores=[[0.1]])
         assert str(exc.value) == f"label must be 0 or 1, got {shown} for sample 'a'"
+
+
+class TestIdUniqueness:
+    """Ids are unique when their sorted hashes hold no equal neighbours; an equal pair is settled by an in-order scan."""
+
+    N = 50
+
+    def dataset(self, ids):
+        n = len(ids)
+        return PredictionDataset(
+            sample_ids=ids, labels=[0] * n, splits=["train"] * n, families=[None] * n, scores=np.full((n, 1), 0.5)
+        )
+
+    @pytest.mark.parametrize(
+        "repeats, named",
+        [({1: 0}, "s0"), ({25: 7}, "s7"), ({N - 1: 3}, "s3"), ({30: 5, 40: 2, 12: 11, 49: 0}, "s11")],
+        ids=["first-row", "middle-row", "last-row", "several"],
+    )
+    @pytest.mark.parametrize("hashes", ["real", "all-equal"])
+    def test_first_repeat_is_named(self, monkeypatch, hashes, repeats, named):
+        if hashes == "all-equal":
+            monkeypatch.setattr(data, "hash", lambda _: 0, raising=False)
+        ids = [f"s{i}" for i in range(self.N)]
+        for row, source in repeats.items():
+            ids[row] = ids[source]
+        with pytest.raises(DatasetError) as exc:
+            self.dataset(ids)
+        assert str(exc.value) == f"duplicate sample_id '{named}'"
+
+    def test_unique_ids_pass_when_every_hash_is_equal(self, tmp_path, monkeypatch):
+        hashed = []
+        monkeypatch.setattr(data, "hash", lambda s: hashed.append(s) or 0, raising=False)
+        ids = [f"s{i}" for i in range(self.N)]
+        ds = self.dataset(ids)
+        assert ds.sample_ids.tolist() == ids and hashed == ids
+        path = tmp_path / "d.csv"
+        save_dataset(ds, path)
+        monkeypatch.setattr(data, "_csv_rows", None)  # the bulk path must read it
+        assert_same_columns(load_dataset(path), ds)

@@ -225,6 +225,28 @@ class TestSubsamplingStudy:
         with pytest.raises(ValueError, match=re.escape("target_fpr must be in (0, 1), got 1.0")):
             subsampling_study(val, test, [0.5], [1e-2, 1.0], seeds=[0])
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (1.5, "seed must be an integer, got 1.5"),
+            ("3", "seed must be an integer, got '3'"),
+            (True, "seed must be an integer, got True"),
+            (-1, "seed must be nonnegative, got -1"),
+        ],
+        ids=["float", "string", "bool", "negative"],
+    )
+    def test_bad_seed_rejected(self, splits, seed, message):
+        val, test = splits
+        with pytest.raises(ValueError) as exc:
+            subsampling_study(val, test, [0.5], [1e-2], seeds=[0, seed])
+        assert str(exc.value) == message
+
+    def test_numpy_seeds_accepted(self, splits):
+        val, test = splits
+        rows = subsampling_study(val, test, [0.5], [1e-2], seeds=np.array([4, 5]))
+        assert rows == subsampling_study(val, test, [0.5], [1e-2], seeds=[4, 5])
+        assert [type(r.seed) for r in rows] == [int, int]
+
     def test_csv_schema(self, splits, tmp_path):
         val, test = splits
         rows = subsampling_study(val, test, [1.0, 0.01], [1e-1, 1e-3], seeds=[0])
