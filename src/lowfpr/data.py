@@ -18,21 +18,28 @@ are checked for uniqueness on a sorted int64 array of their ``hash()``
 values, 8 bytes a row, not on a set of the ids; only when two hashes are
 equal does an in-order scan look for the first repeat.
 
-When that check fails, or a CSV holds anything that ``np.loadtxt`` might read
-differently from ``csv.reader`` and ``float()`` (a quote, a carriage return
-outside ``\r\n``, one of the separators ``\x1c``-``\x1f``, an overlong
-line), the CSV is read again row by row. The row path is the only place a
-load raises DatasetError for a broken rule, so every message names its line
-and field. Each format's reader only splits its lines into records; one row
-checker, ``_from_records``, applies the schema's rules to the records of both
-formats. An unreadable or non-UTF-8 file raises DatasetError naming it.
+The bulk path first checks the file's bytes, and decodes them only when they
+are not ASCII: the file must be UTF-8 and hold nothing that ``np.loadtxt``
+might read differently from ``csv.reader`` and ``float()`` (a quote, a
+carriage return outside ``\r\n``, one of the separators ``\x1c``-``\x1f``,
+an overlong line). It then frees them, and ``np.loadtxt`` reads the file
+through a text handle. When a guard or the column check fails, the CSV is read
+again row by row. The row path is the only place a load raises DatasetError
+for a broken rule, so every message names its line and field. Each format's
+reader only splits its lines into records; one row checker,
+``_from_records``, applies the schema's rules to the records of both formats.
+An unreadable or non-UTF-8 file raises DatasetError naming it.
 
-Every loader fills the ``splits`` column with the three ``SPLIT_NAMES``
-objects themselves, not one parsed string per row. Datasets are immutable;
-all column arrays are read-only so downstream code can share them without
-copying. ``PredictionDataset(...)`` validates and copies its columns. No
-load validates twice: the loaders and ``filter_split`` build their results
-from columns that are already valid through the private
+Ids are held in a ``np.dtypes.StringDType()`` column: an id of up to 15
+UTF-8 bytes sits inline in its 16-byte slot, with no Python object per row;
+``tolist()`` and indexing give ``str``. An id that is not valid Unicode (a
+lone surrogate, which only a JSON escape or Python can make) is a data error.
+Splits and families stay object arrays, and every loader fills ``splits``
+with the three ``SPLIT_NAMES`` objects themselves, not one string per row.
+Datasets are immutable; all column arrays are read-only so downstream code
+can share them without copying. ``PredictionDataset(...)`` validates and
+copies its columns. No load validates twice: the loaders and ``filter_split``
+build their results from columns that are already valid through the private
 ``PredictionDataset._trusted``, which skips that validation.
 
 Every CSV table the package writes, datasets and study results alike, goes
@@ -65,12 +72,15 @@ _MEMBER_COLUMN = "m{}"  # member k's CSV column, also its name in messages
 _COLUMNS = ("sample_ids", "labels", "splits", "families", "scores")
 _FORMATS = ("csv", "jsonl")
 
-# np.loadtxt may read these differently from csv.reader and float(): quoting,
-# a carriage return outside "\r\n", and the separators \x1c-\x1f, which numpy
-# strips from a number as whitespace where float() rejects it.
-_CSV_UNSAFE = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+_ID_DTYPE = np.dtypes.StringDType()
+# np.loadtxt may read these differently from csv.reader and float(): quoting, and the separators \x1c-\x1f,
+# which numpy strips from a number as whitespace where float() rejects it. A carriage return outside "\r\n"
+# is the third case, tested apart. All are ASCII, so a test on a UTF-8 file's bytes is exact.
+_CSV_UNSAFE = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # Rows turned into Python objects at a time by the writers.
 _WRITE_BLOCK = 4096
+# Bytes of a CSV file compared at a time by the bulk loader's guards.
+_SCAN_BLOCK = 1 << 20
 
 
 class DatasetError(ValueError):
@@ -93,7 +103,7 @@ class PredictionDataset:
     scores: np.ndarray
 
     def __post_init__(self) -> None:
-        ids = np.array([str(x) for x in np.asarray(self.sample_ids).ravel()], dtype=object)
+        ids = _id_column(np.asarray(self.sample_ids).ravel())
         labels = np.asarray(self.labels).ravel()  # checked before the int64 cast, which truncates 0.5 to 0
         splits = np.array([str(x) for x in np.asarray(self.splits).ravel()], dtype=object)
         families = np.array(
@@ -129,9 +139,10 @@ class PredictionDataset:
     ) -> PredictionDataset:
         """Wrap columns that already pass every check of ``__post_init__``.
 
-        They must have the types it produces: object arrays of ``str`` (and
-        ``None`` families), int64 labels, 2-D float64 scores, and must be
-        owned by no one else, because they are made read-only, not copied.
+        They must have the types it produces: ``_ID_DTYPE`` ids, object
+        arrays of ``str`` splits and families (and ``None`` families), int64
+        labels, 2-D float64 scores, and must be owned by no one else, because
+        they are made read-only, not copied.
         """
         ds = object.__new__(cls)
         ds._set_columns(sample_ids, labels, splits, families, scores)
@@ -143,6 +154,25 @@ class PredictionDataset:
     @property
     def member_count(self) -> int:
         return int(self.scores.shape[1])
+
+
+def _id_column(ids: np.ndarray) -> np.ndarray:
+    """A ``_ID_DTYPE`` copy of the 1-D ``ids``, each its ``str()``; an id UTF-8 cannot hold raises DatasetError."""
+    try:
+        # Other dtypes go through str(): numpy's casts spell bytes without their b'' and fail apart on a surrogate.
+        return np.array(ids if ids.dtype == _ID_DTYPE else [str(x) for x in ids], dtype=_ID_DTYPE)
+    except UnicodeEncodeError:
+        bad = next(s for s in map(str, ids) if not _is_unicode(s))
+        raise DatasetError(f"sample_id {bad!r} is not valid Unicode") from None
+
+
+def _is_unicode(text: str) -> bool:
+    """Whether UTF-8, and so a ``_ID_DTYPE`` column, can hold ``text``: it has no lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _bad_labels(labels: np.ndarray) -> np.ndarray:
@@ -214,39 +244,58 @@ def _csv_header(member_count: int) -> list[str]:
 
 def _csv_columns(path: Path) -> PredictionDataset | None:
     """Parse a CSV in bulk; None when the row path has to read it."""
-    text = path.read_bytes().decode("utf-8").replace("\r\n", "\n")
-    if any(c in text for c in _CSV_UNSAFE):
+    raw = path.read_bytes()
+    if not raw.isascii():
+        raw.decode("utf-8")  # raises UnicodeDecodeError for a file that is not UTF-8
+    if any(c in raw for c in _CSV_UNSAFE) or (end := raw.find(b"\n")) < 0:  # no "\n": a header alone
         return None
-    lines = text.split("\n")
-    del text
-    header = lines[0].split(",")
+    header = raw[:end].removesuffix(b"\r").decode("utf-8").split(",")
     t = len(header) - len(_FIXED_COLUMNS)
     if t < 1 or header != _csv_header(t):
         return None
-    del lines[0]  # the body stays in this one list, freed as soon as it is parsed
-    # A line no longer than csv's field limit holds no field over it.
-    if not any(lines) or max(map(len, lines)) > csv.field_size_limit():
+    view = np.frombuffer(raw, np.uint8)
+    ends = _positions(view, ord("\n"))  # ends[0] == end
+    crlf = view[ends - 1] == ord("\r")
+    # Every "\r" must end a "\r\n", which the text handle below reads as "\n".
+    if b"\r" in raw and _positions(view, ord("\r")).size != np.count_nonzero(crlf):
         return None
+    # Each body line's length without its line ending, in bytes, which are at least its characters. np.loadtxt
+    # warns on a body with no data line, and a line no longer than csv's field limit holds no field over it.
+    lengths = np.diff(ends, append=len(raw)) - 1
+    lengths[:-1] -= crlf[1:]
+    if not 0 < lengths.max() <= csv.field_size_limit():
+        return None
+    del raw, view, ends, crlf, lengths
     dtype = np.dtype([(name, object) for name in _FIXED_COLUMNS] + [("scores", np.float64, (t,))])
     try:
         # Skips empty lines, as csv.reader does, and raises on a wrong field count. The split field (column 2)
         # becomes its SPLIT_NAMES object, or None when unknown, which the column check then rejects.
-        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1, converters={2: _SHARED_SPLITS.get})
+        with open(path, encoding="utf-8") as fh:
+            rows = np.loadtxt(
+                fh, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1, converters={2: _SHARED_SPLITS.get}
+            )
     except ValueError:
         return None
-    del lines
     # Only "0" and "1" pass as labels here ("1.0" is left to the row path).
     malicious = rows["label"] == "1"
     if not (malicious | (rows["label"] == "0")).all():
         return None
-    ids, splits = np.array(rows["sample_id"], dtype=object), np.array(rows["split"], dtype=object)
+    splits = np.array(rows["split"], dtype=object)
     families = np.where(rows["family"] == "", None, rows["family"])
     scores = np.ascontiguousarray(rows["scores"], dtype=np.float64)
-    del rows
-    # The bools check as the labels would (False == 0, True == 1); int64 labels come after, off the memory peak.
-    if _column_fault(ids, malicious, splits, families, scores) is not None:
+    # The bools check as the labels would (False == 0, True == 1). The ids are checked as str objects, which
+    # hash faster than a StringDType column; int64 labels come after, off the memory peak.
+    if _column_fault(rows["sample_id"], malicious, splits, families, scores) is not None:
         return None
+    ids = rows["sample_id"].astype(_ID_DTYPE)
+    del rows
     return PredictionDataset._trusted(ids, malicious.astype(np.int64), splits, families, scores)
+
+
+def _positions(view: np.ndarray, byte: int) -> np.ndarray:
+    """Where ``byte`` is in the uint8 ``view``, compared ``_SCAN_BLOCK`` bytes at a time: no mask is the file's size."""
+    blocks = range(0, view.size, _SCAN_BLOCK)
+    return np.concatenate([np.flatnonzero(view[lo : lo + _SCAN_BLOCK] == byte) + lo for lo in blocks])
 
 
 def _csv_rows(path: Path) -> PredictionDataset:
@@ -337,6 +386,8 @@ def _from_records(path: Path, records, field_name: str, member_count: int | None
         return DatasetError(f"{path}: line {lineno}: {message}")
 
     for lineno, sample_id, label, split, family, raw_scores in records:
+        if not (sample_id.isascii() or _is_unicode(sample_id)):
+            raise fault(f"sample_id {sample_id!r} is not valid Unicode")
         if sample_id in seen:
             raise fault(f"duplicate sample_id '{sample_id}' (first seen on line {seen[sample_id]})")
         seen[sample_id] = lineno
@@ -370,9 +421,10 @@ def _from_records(path: Path, records, field_name: str, member_count: int | None
         families.append(family)
     if t is None:
         raise DatasetError(f"{path}: no records, cannot infer member count")
-    ids, splits, families = (np.array(col, dtype=object) for col in (ids, splits, families))
     scores = np.frombuffer(scores, dtype=np.float64).reshape(len(ids), t)
-    return PredictionDataset._trusted(ids, np.array(malicious, dtype=np.int64), splits, families, scores)
+    ids, labels = np.array(ids, dtype=_ID_DTYPE), np.array(malicious, dtype=np.int64)
+    splits, families = np.array(splits, dtype=object), np.array(families, dtype=object)
+    return PredictionDataset._trusted(ids, labels, splits, families, scores)
 
 
 def load_dataset(path: str | Path, format: str = "csv") -> PredictionDataset:

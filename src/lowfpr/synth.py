@@ -19,12 +19,15 @@ member noise, split assignment, family assignment.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import SPLIT_NAMES, DatasetError, PredictionDataset, _column_fault, _integer, _is_number, _read_json
+from .data import (
+    _ID_DTYPE, SPLIT_NAMES, DatasetError, PredictionDataset, _column_fault, _integer, _is_number, _read_json,
+)
 
 # Stream constant of the data stream. Arbitrary but frozen; changing it
 # changes every dataset. Other streams of the same seed are independent of it.
@@ -57,18 +60,26 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         for name, value in asdict(self).items():
-            default = getattr(SynthConfig, name)  # its type is the field's, as in from_dict
+            default = getattr(SynthConfig, name)  # its type is the field's: int, float or a tuple of three floats
             if isinstance(default, int):
                 object.__setattr__(self, name, _integer(name, value, minimum=1 if name == "member_count" else 0))
+                continue
+            if isinstance(default, tuple):
+                sized = isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1
+                ok, kind, values = sized and len(value) == 3, "a list of three numbers", value
             else:
-                try:
-                    floats = tuple(map(float, value if isinstance(default, tuple) else (value,)))
-                except OverflowError:
-                    raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
-                for v in floats:
-                    if not math.isfinite(v):
-                        raise ValueError(f"{name} must be finite, got {v!r}")
-                object.__setattr__(self, name, floats if isinstance(default, tuple) else floats[0])
+                ok, kind, values = True, "a number", (value,)
+            # One number rule from Python and JSON alike: a Python or numpy real, not a bool or a string.
+            if not (ok and all(_is_number(v, numbers.Real) for v in values)):
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
+            try:
+                floats = tuple(map(float, values))
+            except OverflowError:
+                raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
+            for v in floats:
+                if not math.isfinite(v):
+                    raise ValueError(f"{name} must be finite, got {v!r}")
+            object.__setattr__(self, name, floats if isinstance(default, tuple) else floats[0])
         for name in ("novel_fraction", "ambiguous_benign_fraction", "ambiguous_malicious_fraction"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
@@ -81,7 +92,7 @@ class SynthConfig:
             raise ValueError("member_noise_sd_base must be nonnegative")
         if self.member_noise_sd_novel < self.member_noise_sd_base:
             raise ValueError("member_noise_sd_novel must be at least member_noise_sd_base")
-        if len(self.split_fractions) != 3 or any(f < 0.0 for f in self.split_fractions):
+        if any(f < 0.0 for f in self.split_fractions):
             raise ValueError("split_fractions must be three nonnegative numbers")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ValueError(f"split_fractions must sum to 1, got {sum(self.split_fractions)!r}")
@@ -95,17 +106,6 @@ class SynthConfig:
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in d.items():
-            default = getattr(cls, key)  # its type is the field's: int, float or a tuple of three floats
-            if isinstance(default, tuple):
-                ok = isinstance(value, (list, tuple)) and len(value) == 3 and all(map(_is_number, value))
-                kind = "a list of three numbers"
-            elif isinstance(default, int):  # __post_init__ checks the integer fields
-                continue
-            else:
-                ok, kind = _is_number(value), "a number"
-            if not ok:
-                raise ValueError(f"{key} must be {kind}, got {value!r}")
         return cls(**d)
 
 
@@ -186,7 +186,7 @@ def _generate_with(config: SynthConfig, rng: np.random.Generator) -> PredictionD
     families[n - n_novel :] = _NOVEL_FAMILIES[rng.integers(0, _NOVEL_FAMILIES.size, size=n_novel)]
 
     labels = np.concatenate([np.zeros(nb, dtype=np.int64), np.ones(nm, dtype=np.int64)])
-    ids = np.fromiter(map("syn-{}".format, range(n)), dtype=object, count=n)
+    ids = np.strings.add("syn-", np.arange(n).astype(_ID_DTYPE))
     # The columns already have the constructor's types, so they are checked and wrapped, not copied.
     if (fault := _column_fault(ids, labels, splits, families, scores)) is not None:
         raise DatasetError(fault)

@@ -97,6 +97,12 @@ class TestValidate:
         assert run_cli(["validate", "--input", str(path), "--format", "jsonl"]) == 2
         assert capsys.readouterr().err == f"data error: {path}: line 1: field scores[0]={huge} outside [0, 1]\n"
 
+    def test_id_that_is_not_unicode_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "data.jsonl"  # \ud800, a lone surrogate, is valid JSON but no Unicode text
+        path.write_text('{"id": "a\\ud800", "label": 0, "split": "test", "family": null, "scores": [0.5]}\n')
+        assert run_cli(["validate", "--input", str(path), "--format", "jsonl"]) == 2
+        assert capsys.readouterr().err == f"data error: {path}: line 1: sample_id 'a\\ud800' is not valid Unicode\n"
+
     @pytest.mark.parametrize("line", [1, 3])
     def test_field_over_the_csv_size_limit_exits_2(self, tmp_path, capsys, line):
         lines = ["sample_id,label,split,family,m0", "a,0,train,,0.1", "b,0,train,,0.1", "c,0,train,,0.1"]

@@ -624,6 +624,48 @@ class TestLoaderEquivalence:
         assert len(load_dataset(blank_jsonl, "jsonl")) == 2
         assert jsonl_reads == [paths["jsonl"], blank_jsonl]
 
+    def test_every_source_gives_one_id_column(self, tmp_path, monkeypatch):
+        # The ids the bulk path can read (no csv quoting, no separator \x1c-\x1f), NUL, emoji, empty and
+        # 16+-byte ids among them, then generate's own.
+        odd = [s for s in TestWriters.ODD_IDS if not any(c in s for c in ',"\r\n\x1c\x1d\x1e\x1f')]
+        synth = generate(replace(default_scenario(seed=4), n_benign=5, n_malicious=5))
+        ids = [*odd, "sixteen-plus-bytes", *synth.sample_ids.tolist()]
+        n = len(ids)
+        ds = PredictionDataset(sample_ids=ids, labels=[0] * n, splits=["test"] * n, families=[None] * n, scores=np.full((n, 1), 0.5))
+        csv_path, jsonl_path = tmp_path / "d.csv", tmp_path / "d.jsonl"
+        save_dataset(ds, csv_path)
+        save_dataset(ds, jsonl_path, "jsonl")
+        columns = {"row path": data._csv_rows(csv_path).sample_ids, "jsonl": load_dataset(jsonl_path, "jsonl").sample_ids}
+        monkeypatch.setattr(data, "_csv_rows", None)  # the bulk path must read it
+        columns["bulk"] = load_dataset(csv_path).sample_ids
+        columns["generate"] = synth.sample_ids
+        for name, col in columns.items():
+            assert col.dtype == np.dtypes.StringDType() == ds.sample_ids.dtype, name
+            assert np.array_equal(col, ds.sample_ids[-len(col) :]), name
+        assert ds.sample_ids.tolist() == ids and type(ds.sample_ids[0]) is str
+
+
+class TestIdsAreUnicode:
+    """An id that UTF-8 cannot hold, one with a lone surrogate, is a data error wherever it enters."""
+
+    def test_jsonl_row_names_its_path_line_and_id(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        lines = [json.dumps(dict(id=i, label=0, split="train", family=None, scores=[0.5])) for i in ("a", "b\ud800")]
+        path.write_text("\n".join(lines) + "\n")  # json.dumps escapes the surrogate as \ud800
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(path, "jsonl")
+        assert str(exc.value) == f"{path}: line 2: sample_id 'b\\ud800' is not valid Unicode"
+
+    @pytest.mark.parametrize(
+        "ids",
+        [["a", "b\ud800"], np.array(["a", "b\ud800"]), np.array(["a", "b\ud800"], dtype=object)],
+        ids=["list", "str-array", "object-array"],
+    )
+    def test_constructor(self, ids):
+        with pytest.raises(DatasetError) as exc:
+            PredictionDataset(sample_ids=ids, labels=[0, 0], splits=["train"] * 2, families=[None] * 2, scores=[[0.5], [0.5]])
+        assert str(exc.value) == "sample_id 'b\\ud800' is not valid Unicode"
+
 
 class TestColumnRules:
     """One column check serves the constructor and the bulk CSV loader.
