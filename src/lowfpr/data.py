@@ -32,10 +32,11 @@ An unreadable or non-UTF-8 file raises DatasetError naming it.
 
 Ids are held in a ``np.dtypes.StringDType()`` column: an id of up to 15
 UTF-8 bytes sits inline in its 16-byte slot, with no Python object per row;
-``tolist()`` and indexing give ``str``. An id that is not valid Unicode (a
-lone surrogate, which only a JSON escape or Python can make) is a data error.
-Splits and families stay object arrays, and every loader fills ``splits``
-with the three ``SPLIT_NAMES`` objects themselves, not one string per row.
+``tolist()`` and indexing give ``str``. An id or a family tag that is not
+valid Unicode (a lone surrogate, which only a JSON escape or Python can make)
+is a data error. Splits and families stay object arrays. Every loader fills
+``splits`` with the three ``SPLIT_NAMES`` objects themselves and ``families``
+with one ``str`` per distinct tag, not one string per row.
 Datasets are immutable; all column arrays are read-only so downstream code
 can share them without copying. ``PredictionDataset(...)`` validates and
 copies its columns. No load validates twice: the loaders and ``filter_split``
@@ -77,14 +78,26 @@ _ID_DTYPE = np.dtypes.StringDType()
 # which numpy strips from a number as whitespace where float() rejects it. A carriage return outside "\r\n"
 # is the third case, tested apart. All are ASCII, so a test on a UTF-8 file's bytes is exact.
 _CSV_UNSAFE = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-# Rows turned into Python objects at a time by the writers.
-_WRITE_BLOCK = 4096
+# Rows turned into Python objects at a time by the writers. A block of 1,024 rows holds ~0.5 MB of objects,
+# and larger blocks write no faster.
+_WRITE_BLOCK = 1024
 # Bytes of a CSV file compared at a time by the bulk loader's guards.
 _SCAN_BLOCK = 1 << 20
 
 
 class DatasetError(ValueError):
     """An input file or record set violates the dataset schema."""
+
+
+class _Shared(dict):
+    """Looking up a text gives the first equal text looked up, so that equal family tags share one ``str``.
+
+    ``__getitem__`` is a C method, which ``np.loadtxt`` calls per row as fast as it stores the field itself.
+    """
+
+    def __missing__(self, text: str) -> str:
+        self[text] = text
+        return text
 
 
 @dataclass(frozen=True)
@@ -106,10 +119,7 @@ class PredictionDataset:
         ids = _id_column(np.asarray(self.sample_ids).ravel())
         labels = np.asarray(self.labels).ravel()  # checked before the int64 cast, which truncates 0.5 to 0
         splits = np.array([str(x) for x in np.asarray(self.splits).ravel()], dtype=object)
-        families = np.array(
-            [None if f is None else str(f) for f in np.asarray(self.families, dtype=object).ravel()],
-            dtype=object,
-        )
+        families = _family_column(np.asarray(self.families, dtype=object).ravel())
         scores = np.array(self.scores, dtype=np.float64, copy=True)
         if scores.ndim != 2:
             raise DatasetError(f"scores must be 2-dimensional, got shape {scores.shape}")
@@ -166,8 +176,19 @@ def _id_column(ids: np.ndarray) -> np.ndarray:
         raise DatasetError(f"sample_id {bad!r} is not valid Unicode") from None
 
 
+def _family_column(families: np.ndarray) -> np.ndarray:
+    """An object array of each family's ``str()``, None kept; a tag UTF-8 cannot hold raises DatasetError."""
+    tags = [None if f is None else str(f) for f in families]
+    for tag in tags:
+        if tag is not None and not _is_unicode(tag):
+            raise DatasetError(f"family {tag!r} is not valid Unicode")
+    return np.array(tags, dtype=object)
+
+
 def _is_unicode(text: str) -> bool:
-    """Whether UTF-8, and so a ``_ID_DTYPE`` column, can hold ``text``: it has no lone surrogate."""
+    """Whether UTF-8, and so a ``_ID_DTYPE`` column or a written file, can hold ``text``: it has no lone surrogate."""
+    if text.isascii():
+        return True
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
@@ -269,10 +290,12 @@ def _csv_columns(path: Path) -> PredictionDataset | None:
     dtype = np.dtype([(name, object) for name in _FIXED_COLUMNS] + [("scores", np.float64, (t,))])
     try:
         # Skips empty lines, as csv.reader does, and raises on a wrong field count. The split field (column 2)
-        # becomes its SPLIT_NAMES object, or None when unknown, which the column check then rejects.
+        # becomes its SPLIT_NAMES object, or None when unknown, which the column check then rejects; the family
+        # field (column 3) becomes the first object of its text.
         with open(path, encoding="utf-8") as fh:
             rows = np.loadtxt(
-                fh, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1, converters={2: _SHARED_SPLITS.get}
+                fh, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1,
+                converters={2: _SHARED_SPLITS.get, 3: _Shared().__getitem__},
             )
     except ValueError:
         return None
@@ -375,18 +398,20 @@ def _from_records(path: Path, records, field_name: str, member_count: int | None
     with text fields and ``None`` for an untagged family. ``field_name`` formats
     score k's name in messages. A ``member_count`` of None is taken from the
     first record, and a file with no record cannot give one. A message's text
-    is built only once its check has failed.
+    is built only once its check has failed. Equal family tags share one
+    ``str``, as splits share their ``SPLIT_NAMES`` object.
     """
     ids, malicious, splits, families = [], [], [], []
     scores = array("d")
     seen: dict[str, int] = {}
+    tags = _Shared()
     t = member_count
 
     def fault(message: str) -> DatasetError:
         return DatasetError(f"{path}: line {lineno}: {message}")
 
     for lineno, sample_id, label, split, family, raw_scores in records:
-        if not (sample_id.isascii() or _is_unicode(sample_id)):
+        if not _is_unicode(sample_id):
             raise fault(f"sample_id {sample_id!r} is not valid Unicode")
         if sample_id in seen:
             raise fault(f"duplicate sample_id '{sample_id}' (first seen on line {seen[sample_id]})")
@@ -395,8 +420,12 @@ def _from_records(path: Path, records, field_name: str, member_count: int | None
             raise fault(f"label must be 0 or 1, got {label!r}")
         if (shared_split := _SHARED_SPLITS.get(split)) is None:
             raise fault(f"unknown split {split!r}")
-        if label == "0" and family is not None:
-            raise fault(f"benign sample '{sample_id}' carries family tag '{family}'")
+        if family is not None:
+            if not _is_unicode(family):
+                raise fault(f"family {family!r} is not valid Unicode")
+            family = tags[family]
+            if label == "0":
+                raise fault(f"benign sample '{sample_id}' carries family tag '{family}'")
         if not isinstance(raw_scores, list):
             raise fault("field scores must be an array")
         if t is None:

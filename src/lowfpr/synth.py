@@ -35,6 +35,8 @@ _DATA_STREAM = 0x64617461  # "data"
 
 _SEEN_FAMILIES = np.array([f"fam_s{k}" for k in range(8)], dtype=object)
 _NOVEL_FAMILIES = np.array([f"fam_n{k}" for k in range(4)], dtype=object)
+# Rows that _sigmoid and the id column take at a time, so that their temporaries stay this size.
+_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,18 @@ def load_config(path: str | Path) -> SynthConfig:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """The logistic map of ``x``, written over ``x`` and returned; exp sees only -|x|, so it cannot overflow."""
-    pos = x >= 0
-    np.negative(x, out=x, where=pos)
-    np.exp(x, out=x)
-    den = np.add(1.0, x)
-    np.divide(1.0, den, out=x, where=pos)
-    np.divide(x, den, out=x, where=np.logical_not(pos, out=pos))
+    """The logistic map of ``x``, written over ``x`` and returned; exp sees only -|x|, so it cannot overflow.
+
+    It runs ``_BLOCK_ROWS`` rows (first-axis entries) at a time, so its mask and denominator are block-sized.
+    """
+    for lo in range(0, len(x), _BLOCK_ROWS):
+        block = x[lo : lo + _BLOCK_ROWS]
+        pos = block >= 0
+        np.negative(block, out=block, where=pos)
+        np.exp(block, out=block)
+        den = np.add(1.0, block)
+        np.divide(1.0, den, out=block, where=pos)
+        np.divide(block, den, out=block, where=np.logical_not(pos, out=pos))
     return x
 
 
@@ -141,6 +148,13 @@ def _round_count(fraction: float, n: int) -> int:
 
 
 def _generate_with(config: SynthConfig, rng: np.random.Generator) -> PredictionDataset:
+    """The dataset of ``config`` drawn from ``rng``.
+
+    Each column is built in its own array, in place or ``_BLOCK_ROWS`` rows
+    at a time: a cluster's logit mean is added to its segment of the latents
+    and its noise sd multiplies its segment of the member noise, so no column
+    of means or sds exists, and the logistic map and the ids run in blocks.
+    """
     nb, nm, t = config.n_benign, config.n_malicious, config.member_count
     n = nb + nm
     n_novel = _round_count(config.novel_fraction, nm)
@@ -148,45 +162,45 @@ def _generate_with(config: SynthConfig, rng: np.random.Generator) -> PredictionD
     n_core_mal = nm - n_novel - n_amb_mal
     n_amb_ben = _round_count(config.ambiguous_benign_fraction, nb)
     n_core_ben = nb - n_amb_ben
+    base_sd, elevated_sd = config.member_noise_sd_base, config.member_noise_sd_novel
 
     # Canonical row order: benign core, ambiguous benign, malicious core,
-    # ambiguous malicious, novel malicious.
-    means = np.concatenate(
-        [
-            np.full(n_core_ben, config.benign_logit_mean),
-            np.full(n_amb_ben, config.ambiguous_benign_logit_mean),
-            np.full(n_core_mal, config.malicious_logit_mean),
-            np.full(n_amb_mal, config.ambiguous_malicious_logit_mean),
-            np.full(n_novel, config.novel_logit_mean),
-        ]
+    # ambiguous malicious, novel malicious; (rows, logit mean, member noise sd).
+    clusters = (
+        (n_core_ben, config.benign_logit_mean, base_sd),
+        (n_amb_ben, config.ambiguous_benign_logit_mean, elevated_sd),
+        (n_core_mal, config.malicious_logit_mean, base_sd),
+        (n_amb_mal, config.ambiguous_malicious_logit_mean, elevated_sd),
+        (n_novel, config.novel_logit_mean, elevated_sd),
     )
-    elevated = np.zeros(n, dtype=bool)
-    elevated[n_core_ben : n_core_ben + n_amb_ben] = True
-    elevated[nb + n_core_mal :] = True
-    noise_sd = np.where(elevated, config.member_noise_sd_novel, config.member_noise_sd_base)
-
-    latents = means + rng.normal(0.0, config.logit_sd, size=n)
-    del means
+    latents = rng.normal(0.0, config.logit_sd, size=n)
     # The member noise is drawn into the array that becomes the scores. The logistic
     # map may round extreme logits to 0 or 1, which the dataset schema allows.
     scores = rng.normal(0.0, 1.0, size=(n, t))
-    scores *= noise_sd[:, None]
+    lo = 0
+    for rows, mean, sd in clusters:
+        segment = slice(lo, lo + rows)
+        np.add(mean, latents[segment], out=latents[segment])
+        scores[segment] *= sd
+        lo += rows
     scores += latents[:, None]
-    del latents, noise_sd
+    del latents
     _sigmoid(scores)
 
     splits = rng.choice(np.array(SPLIT_NAMES, dtype=object), size=n, p=config.split_fractions)
-    is_novel = np.zeros(n, dtype=bool)
-    is_novel[n - n_novel :] = True
-    splits[is_novel] = "test"
+    splits[n - n_novel :] = "test"
 
     families = np.full(n, None, dtype=object)
     n_seen_mal = n_core_mal + n_amb_mal
     families[nb : nb + n_seen_mal] = _SEEN_FAMILIES[rng.integers(0, _SEEN_FAMILIES.size, size=n_seen_mal)]
     families[n - n_novel :] = _NOVEL_FAMILIES[rng.integers(0, _NOVEL_FAMILIES.size, size=n_novel)]
 
-    labels = np.concatenate([np.zeros(nb, dtype=np.int64), np.ones(nm, dtype=np.int64)])
-    ids = np.strings.add("syn-", np.arange(n).astype(_ID_DTYPE))
+    labels = np.zeros(n, dtype=np.int64)
+    labels[nb:] = 1
+    ids = np.empty(n, dtype=_ID_DTYPE)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        ids[lo:hi] = np.strings.add("syn-", np.arange(lo, hi).astype(_ID_DTYPE))
     # The columns already have the constructor's types, so they are checked and wrapped, not copied.
     if (fault := _column_fault(ids, labels, splits, families, scores)) is not None:
         raise DatasetError(fault)

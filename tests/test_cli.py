@@ -103,6 +103,12 @@ class TestValidate:
         assert run_cli(["validate", "--input", str(path), "--format", "jsonl"]) == 2
         assert capsys.readouterr().err == f"data error: {path}: line 1: sample_id 'a\\ud800' is not valid Unicode\n"
 
+    def test_family_tag_that_is_not_unicode_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"id": "a", "label": 1, "split": "test", "family": "f\\ud800", "scores": [0.5]}\n')
+        assert run_cli(["validate", "--input", str(path), "--format", "jsonl"]) == 2
+        assert capsys.readouterr().err == f"data error: {path}: line 1: family 'f\\ud800' is not valid Unicode\n"
+
     @pytest.mark.parametrize("line", [1, 3])
     def test_field_over_the_csv_size_limit_exits_2(self, tmp_path, capsys, line):
         lines = ["sample_id,label,split,family,m0", "a,0,train,,0.1", "b,0,train,,0.1", "c,0,train,,0.1"]

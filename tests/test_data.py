@@ -243,6 +243,17 @@ def test_loaded_splits_are_the_shared_names(tmp_path, fmt, load):
     assert {id(s) for s in ds.splits} == {id(name) for name in data.SPLIT_NAMES}
 
 
+@pytest.mark.parametrize("fmt, load", [("csv", load_dataset), ("csv", data._csv_rows), ("jsonl", load_dataset)])
+def test_loaded_families_share_one_string_per_tag(tmp_path, fmt, load):
+    """Every loader's family column points at one str object per distinct tag, as generate's does."""
+    path = tmp_path / f"data.{fmt}"
+    save_dataset(generate(replace(default_scenario(seed=5), n_benign=1000, n_malicious=1000)), path, fmt)
+    ds = load(path, fmt) if load is load_dataset else load(path)
+    tags = [f for f in ds.families if f is not None]
+    assert len(tags) == 1000
+    assert len({id(f) for f in tags}) == len(set(tags)) == 8
+
+
 def assert_same_columns(got, want):
     """Equal values, dtypes, layout and element types, column by column."""
     for name in COLUMNS:
@@ -665,6 +676,26 @@ class TestIdsAreUnicode:
         with pytest.raises(DatasetError) as exc:
             PredictionDataset(sample_ids=ids, labels=[0, 0], splits=["train"] * 2, families=[None] * 2, scores=[[0.5], [0.5]])
         assert str(exc.value) == "sample_id 'b\\ud800' is not valid Unicode"
+
+
+class TestFamilyTagsAreUnicode:
+    """A family tag that UTF-8 cannot hold, one with a lone surrogate, is a data error, as such an id is."""
+
+    def test_jsonl_row_names_its_path_line_and_tag(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        rows = [("a", "f"), ("b", "f\ud800")]
+        lines = [json.dumps(dict(id=i, label=1, split="train", family=f, scores=[0.5])) for i, f in rows]
+        path.write_text("\n".join(lines) + "\n")  # json.dumps escapes the surrogate as \ud800
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(path, "jsonl")
+        assert str(exc.value) == f"{path}: line 2: family 'f\\ud800' is not valid Unicode"
+
+    def test_constructor(self):
+        with pytest.raises(DatasetError) as exc:
+            PredictionDataset(
+                sample_ids=["a", "b"], labels=[1, 1], splits=["train"] * 2, families=["f", "f\ud800"], scores=[[0.5], [0.5]]
+            )
+        assert str(exc.value) == "family 'f\\ud800' is not valid Unicode"
 
 
 class TestColumnRules:

@@ -11,6 +11,7 @@ import pytest
 from lowfpr.data import PredictionDataset, filter_split, load_dataset, save_dataset
 from lowfpr.rocmetrics import auc, roc_curve, select_threshold
 from lowfpr.synth import (
+    _BLOCK_ROWS,
     SynthConfig,
     _generate_with,
     _rng,
@@ -335,6 +336,17 @@ GENERATED_DIGESTS = {
     "novelty_scenario": "bfbcc3941fc4c4147b8110feeed5b67e723f440c9d8a5c7c68f95908a4afe704",
 }
 
+# The same at 10,000 benign and 9,001 malicious rows, recorded before generate built its columns in row
+# blocks: 19,001 rows span two full blocks and end on a partial one, and every scenario leaves at least
+# one of the five clusters empty.
+BLOCKED_ROWS = (10_000, 9_001)
+BLOCKED_DIGESTS = {
+    "default_scenario": "eaf0e0cd45fe7301e7a4a4b4285572e721e5688d34263e805922bcc7233af635",
+    "heteroscedastic_scenario": "2a9ef08a0c9ca1cf821b8d5912e2e600985b1fd04a11e614d8441c3a034e3ae1",
+    "noisy_fp_scenario": "eb29d190bbc2560156e541cb13877f0d7fff06ba5fb6346cb6107930fb3d8cfe",
+    "novelty_scenario": "74def991c7b41490f9c706b5dfaee84381c687f64014eff0db35d0fd1aff11bc",
+}
+
 
 def dataset_digest(ds) -> str:
     """sha256 over the shapes and dtypes, the score and label bytes, then ids, splits and families as text."""
@@ -379,6 +391,16 @@ class TestGeneratedBytes:
         ds = generate(dataclasses.replace(factory(seed=3), n_benign=1500, n_malicious=1500))
         assert dataset_digest(ds) == GENERATED_DIGESTS[factory.__name__]
 
+    @pytest.mark.parametrize(
+        "factory", [default_scenario, heteroscedastic_scenario, noisy_fp_scenario, novelty_scenario],
+        ids=lambda f: f.__name__,
+    )
+    def test_named_scenarios_keep_their_bytes_over_several_blocks(self, factory):
+        nb, nm = BLOCKED_ROWS
+        assert nb + nm > 2 * _BLOCK_ROWS and (nb + nm) % _BLOCK_ROWS
+        ds = generate(dataclasses.replace(factory(seed=3), n_benign=nb, n_malicious=nm))
+        assert dataset_digest(ds) == BLOCKED_DIGESTS[factory.__name__]
+
     def test_in_place_logistic_map_matches_the_reference_bitwise(self):
         tiny = np.finfo(np.float64).smallest_subnormal
         edges = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 1e-300, -1e-300,
@@ -394,7 +416,7 @@ class TestGeneratedBytes:
 class TestMemoryPeak:
     """generate, PredictionDataset(...) and the bulk CSV load each peak under a bound in bytes per row.
 
-    At 20k rows of 5 members, generate peaks at 101 bytes a row, the
+    At 20k rows of 5 members, generate peaks at 99 bytes a row, the
     constructor at 91 and the CSV load at 230. With ids in an object array
     of ``str`` and a load that parsed a decoded, split copy of the file, they
     read 151, 83 and 348: the constructor's StringDType copy of the ids costs
@@ -402,11 +424,19 @@ class TestMemoryPeak:
     A bound per row does not punish a result that keeps less, as a bound on
     the peak over the kept memory would. tracemalloc sees numpy's buffers as
     well as Python objects, and its counts repeat exactly.
+
+    ``_sigmoid`` and ``save_dataset`` work a block of rows at a time, so their
+    bounds are fixed byte counts. On 100k x 5 scores the logistic map peaks at
+    0.70 MB (4.50 MB with full-size mask and denominator); writing 20k rows
+    peaks at 0.52 MB as CSV and 0.83 MB as JSON Lines (2.00 and 3.25 MB with
+    4,096-row blocks).
     """
 
     GENERATE_BOUND = 125
     CONSTRUCTOR_BOUND = 100
     LOAD_BOUND = 300
+    SIGMOID_BOUND = 1 << 20
+    SAVE_BOUND = 1 << 20
 
     CONFIG = dataclasses.replace(heteroscedastic_scenario(seed=3), n_benign=10_000, n_malicious=10_000)
     ROWS = 20_000
@@ -424,3 +454,15 @@ class TestMemoryPeak:
         columns = [ds.sample_ids, ds.labels, ds.splits, ds.families, ds.scores]
         PredictionDataset(small.sample_ids, small.labels, small.splits, small.families, small.scores)  # imports, uncounted
         assert traced_peak(lambda: PredictionDataset(*columns)) <= self.CONSTRUCTOR_BOUND * self.ROWS
+
+    def test_logistic_map_peak(self):
+        x = np.random.default_rng(1).normal(size=(100_000, 5))
+        _sigmoid(x[:10].copy())  # imports, uncounted
+        assert traced_peak(lambda: _sigmoid(x)) <= self.SIGMOID_BOUND
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_save_peak(self, tmp_path, fmt):
+        path = tmp_path / f"data.{fmt}"
+        save_dataset(generate(dataclasses.replace(self.CONFIG, n_benign=10, n_malicious=10)), path, fmt)  # imports
+        ds = generate(self.CONFIG)
+        assert traced_peak(lambda: save_dataset(ds, path, fmt)) <= self.SAVE_BOUND
