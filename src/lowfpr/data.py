@@ -39,9 +39,9 @@ is a data error. Splits and families stay object arrays. Every loader fills
 with one ``str`` per distinct tag, not one string per row.
 Datasets are immutable; all column arrays are read-only so downstream code
 can share them without copying. ``PredictionDataset(...)`` validates and
-copies its columns. No load validates twice: the loaders and ``filter_split``
-build their results from columns that are already valid through the private
-``PredictionDataset._trusted``, which skips that validation.
+copies its columns. Nothing validates twice: the loaders, ``filter_split``
+and ``synth.generate`` wrap columns that are valid already or by construction
+through the private ``PredictionDataset._trusted``, which skips validation.
 
 Every CSV table the package writes, datasets and study results alike, goes
 through ``_write_csv``. Both writers format each row with one %-template

@@ -121,9 +121,7 @@ def _budget_count(n_neg: int, target_fpr: float) -> int:
 
 
 def _select(pos: np.ndarray, neg: np.ndarray, k: int) -> OperatingPoint:
-    """select_threshold on class-split scores, allowing at most k false positives."""
-    if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
-        raise ValueError("scores must be finite")
+    """select_threshold on class-split scores, at most k false positives; unchecked: every caller passes finite scores."""
     n_neg = neg.size
     # A threshold admits at most k negatives iff it lies above v, the (k+1)-th largest.
     v = -np.inf if k == n_neg else np.partition(neg, n_neg - k - 1)[n_neg - k - 1]

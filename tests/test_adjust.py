@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from lowfpr.adjust import (
+    COORDINATE_BRACKETS,
     AdjustmentParams,
     CalibrationResult,
     Variant,
@@ -77,6 +79,15 @@ class TestApplyAdjustment:
         out = _apply(Variant.GLOBAL_ONLY, y, y, y, ())
         np.testing.assert_array_equal(out, y)
         assert out is not y
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_finite_at_every_bracket_corner(self, variant):
+        # The threshold kernel does not check finiteness; fit_local relies on the rescored
+        # scores of y in [0, 1] and e, a in [0, ln 2] staying finite over the whole brackets.
+        grid = np.array(list(itertools.product((0.0, 1.0), (0.0, math.log(2)), (0.0, math.log(2)))))
+        y, e, a = grid.T
+        for alpha in itertools.product(*COORDINATE_BRACKETS[variant]):
+            assert np.isfinite(_apply(variant, y, e, a, alpha)).all(), alpha
 
 
 class TestAdjustmentParams:

@@ -258,6 +258,24 @@ class TestSynth:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("logit_sd", 1e308),
+            ("benign_logit_mean", -1e301),
+            ("member_noise_sd_novel", 1e308),
+            pytest.param("malicious_logit_mean", math.nextafter(1e300, math.inf), id="just-past-the-bound"),
+        ],
+    )
+    def test_config_value_beyond_the_float_bound_exits_3(self, tmp_path, capsys, key, value):
+        # Values this large once overflowed the logits: numpy warnings, then a NaN score or a written file.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(small_config(n_benign=5000, n_malicious=5000, **{key: value})))
+        out = tmp_path / "x.csv"
+        assert run_cli(["synth", "--config", str(config_path), "--output", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {key} must lie within +-1e300, got {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "content", [None, b'{"seed": ', b"\xff\xfe", b"[1, 2]"], ids=["missing", "not-json", "not-text", "not-object"]
     )
     def test_unreadable_config_exits_2(self, tmp_path, capsys, content):

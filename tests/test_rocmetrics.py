@@ -8,7 +8,6 @@ from lowfpr.data import PredictionDataset
 from lowfpr.rocmetrics import (
     OperatingPoint,
     _budget_count,
-    _select,
     accuracy,
     auc,
     combined_metric,
@@ -291,10 +290,6 @@ class TestSelectThreshold:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
                 select_threshold([0.2, bad, 0.7], [0, 1, 0], 0.5)
-            with pytest.raises(ValueError, match="finite"):
-                _select(np.array([0.2, bad]), np.array([0.1, 0.7]), 1)
-            with pytest.raises(ValueError, match="finite"):
-                _select(np.array([0.2]), np.array([bad, 0.7]), 1)
 
     def test_tpr_nonincreasing_in_target_strictness(self):
         rng = np.random.default_rng(8)

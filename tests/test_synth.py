@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,22 @@ class TestGenerate:
         ds = generate(SynthConfig(n_benign=10, n_malicious=0, seed=1))
         assert len(ds) == 10 and ds.labels.sum() == 0
 
+    @pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (-1, 1)], ids=["positive", "negative", "mixed"])
+    def test_float_fields_at_the_bound_give_scores_in_the_unit_interval(self, signs):
+        # generate does not check the dataset it builds: the config's +-1e300 bound alone must keep
+        # every logit finite, with no overflow warning and no NaN score.
+        benign, malicious = (sign * 1e300 for sign in signs)
+        config = SynthConfig(
+            n_benign=3000, n_malicious=3000, novel_fraction=0.3, ambiguous_benign_fraction=0.3,
+            ambiguous_malicious_fraction=0.3, benign_logit_mean=benign, ambiguous_benign_logit_mean=benign,
+            malicious_logit_mean=malicious, ambiguous_malicious_logit_mean=malicious, novel_logit_mean=malicious,
+            logit_sd=1e300, member_noise_sd_base=1e300, member_noise_sd_novel=1e300, seed=2,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = generate(config)
+        assert np.all(ds.scores >= 0.0) and np.all(ds.scores <= 1.0)
+
 
 class TestClosedFormSeparability:
     def test_noise_free_auc_matches_gaussian_overlap(self):
@@ -312,10 +329,12 @@ class TestOracleMetrics:
 
 class TestScenarios:
     def test_all_factories_generate_valid_data(self):
+        # generate wraps its columns unchecked; the public constructor runs the full schema check.
+        n = _BLOCK_ROWS // 2 + 1
         for factory in (default_scenario, heteroscedastic_scenario, noisy_fp_scenario, novelty_scenario):
-            config = dataclasses.replace(factory(seed=1), n_benign=800, n_malicious=800)
-            ds = generate(config)
-            assert len(ds) == 1600
+            ds = generate(dataclasses.replace(factory(seed=1), n_benign=n, n_malicious=n))
+            assert len(ds) == 2 * n > _BLOCK_ROWS
+            PredictionDataset(ds.sample_ids, ds.labels, ds.splits, ds.families, ds.scores)
 
     def test_novelty_scenario_has_novel_test_families(self):
         config = dataclasses.replace(novelty_scenario(seed=2), n_benign=2000, n_malicious=2000)
@@ -416,7 +435,8 @@ class TestGeneratedBytes:
 class TestMemoryPeak:
     """generate, PredictionDataset(...) and the bulk CSV load each peak under a bound in bytes per row.
 
-    At 20k rows of 5 members, generate peaks at 99 bytes a row, the
+    At 20k rows of 5 members, generate peaks at 93 bytes a row (99 when it
+    ran the full column check over the dataset it had just built), the
     constructor at 91 and the CSV load at 230. With ids in an object array
     of ``str`` and a load that parsed a decoded, split copy of the file, they
     read 151, 83 and 348: the constructor's StringDType copy of the ids costs
@@ -432,7 +452,7 @@ class TestMemoryPeak:
     4,096-row blocks).
     """
 
-    GENERATE_BOUND = 125
+    GENERATE_BOUND = 96
     CONSTRUCTOR_BOUND = 100
     LOAD_BOUND = 300
     SIGMOID_BOUND = 1 << 20
