@@ -87,6 +87,7 @@ def _apply(variant: Variant, y: np.ndarray, e: np.ndarray, a: np.ndarray, alpha)
 
 
 _GOLDEN = 0.3819660112501051  # 2 - golden ratio
+_SEED_LIMIT = 2**128  # numpy's Philox key bound; lv2 and lv3 draw from it, and every variant keeps it
 
 
 def brent_minimize(
@@ -106,10 +107,9 @@ def brent_minimize(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got ({lo!r}, {hi!r})")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    if not tol > 0.0:  # NaN too
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    max_iters = _integer("max_iters", max_iters, minimum=1)
 
     def f(point: float) -> float:
         value = float(objective(point))
@@ -227,14 +227,6 @@ class CalibrationResult:
                 raise DatasetError(f"calibration key {key!r} is NaN")
             return value
 
-        def integer(minimum: int) -> Callable:
-            def convert(value):
-                if type(value) is not int or value < minimum:  # a float or bool would be truncated
-                    raise ValueError(f"must be an integer >= {minimum}, got {value!r}")
-                return value
-
-            return convert
-
         variant = field("variant", Variant)
         threshold = field("threshold", lambda value: math.inf if value == "inf" else number(value))
         multiplier = field("multiplier")
@@ -246,9 +238,9 @@ class CalibrationResult:
             target_fpr=field("target_fpr", lambda value: _check_target_fpr(number(value))),
             fit_fpr_multiplier=multiplier,
             achieved_val=OperatingPoint(threshold, field("validation_tpr"), field("validation_fpr")),
-            sweeps_used=field("sweeps_used", integer(0)),
-            seed=field("seed", integer(0)),
-            member_count=field("member_count", integer(1)),
+            sweeps_used=field("sweeps_used", lambda value: _integer("sweeps_used", value)),
+            seed=field("seed", lambda value: _integer("seed", value)),
+            member_count=field("member_count", lambda value: _integer("member_count", value, minimum=1)),
         )
 
 
@@ -312,13 +304,14 @@ def fit_local(
     variant = Variant(variant)
     _check_target_fpr(target_fpr)
     seed = _integer("seed", seed)
+    if seed >= _SEED_LIMIT:
+        raise ValueError(f"seed must be below 2**128, got {seed!r}")
     if not (0.0 < multiplier and multiplier * target_fpr < 1.0):
         raise ValueError(f"multiplier {multiplier!r} puts the fit budget outside (0, 1)")
-    classes = _classes(val, "fitting needs at least one positive and one negative validation sample")
-    if max_sweeps < 0:
-        raise ValueError("max_sweeps must be nonnegative")
+    max_sweeps = _integer("max_sweeps", max_sweeps)
     if math.isnan(sweep_tol):
         raise ValueError(f"sweep_tol must not be NaN, got {sweep_tol!r}")
+    classes = _classes(val, "fitting needs at least one positive and one negative validation sample")
     k = _budget_count(classes[1][0].size, multiplier * target_fpr)
     brackets = COORDINATE_BRACKETS[variant]
 
@@ -370,8 +363,8 @@ def evaluate_calibration(
             f"member count mismatch: calibration was fit on {result.member_count} members, "
             f"test data has {test.member_count}"
         )
+    target = result.target_fpr if target_fpr is None else _check_target_fpr(target_fpr)
     classes = _classes(test, "evaluation needs at least one positive and one negative test sample")
-    target = result.target_fpr if target_fpr is None else target_fpr
     pos, neg = (_apply(result.params.variant, y, e, a, result.params.alpha) for y, e, a in classes)
     op = _rates(pos, neg, result.global_threshold)
     return CalibrationEvaluation(op.tpr, op.fpr, combined_metric(op.tpr, op.fpr, target))

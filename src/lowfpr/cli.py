@@ -226,7 +226,7 @@ def _parser() -> argparse.ArgumentParser:
     add("--variant", choices=VARIANT_LABELS, default="g", help="g: global, g+l*: plus local (default: %(default)s).")
     add("--target-fpr", type=float, required=True, help="False-positive-rate budget for the fit.")
     add("--multiplier", type=float, default=0.9, help="Fit-time fraction of the FPR budget (default: %(default)s).")
-    add("--seed", type=int, action=_int_range(0, 2**128 - 1), default=0, help="Fit seed (default: %(default)s).")
+    add("--seed", type=int, action=_int_range(0, adjust._SEED_LIMIT - 1), default=0, help="Fit seed (default: %(default)s).")
     add("--sweep-tol", type=float, default=1e-6, help="Per-sweep TPR improvement cutoff (default: %(default)s).")
     add("--max-sweeps", type=int, default=50, help="Coordinate sweep cap (default: %(default)s).")
 

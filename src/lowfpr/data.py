@@ -379,9 +379,10 @@ def _is_number(value, kinds=(int, float)) -> bool:
 
 
 def _integer(name: str, value, minimum: int = 0) -> int:
-    """``value`` as an int when it is a Python or numpy integer, not a bool, of at least ``minimum``.
+    """The package's one integer rule, for every integer it reads from Python or from JSON.
 
-    Anything else, a float or a string among them, raises ValueError naming ``name``.
+    ``value`` as an int when it is a Python or numpy integer, not a bool, of at least ``minimum``;
+    anything else, a float or a string among them, raises ValueError naming ``name``.
     """
     if not _is_number(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")

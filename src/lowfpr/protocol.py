@@ -149,8 +149,7 @@ def subsampling_study(
     seeds = [_integer("seed", s) for s in seeds]
     if not seeds:
         raise ValueError("seeds is empty")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+    threads = _integer("threads", threads, minimum=1)
     test_classes = _class_scores(_ensemble_scores(test), test.labels)
     invalid = [op for op, _ in _carry(test_classes, test_classes, targets)]
     val_scores = _ensemble_scores(val)

@@ -20,6 +20,7 @@ from lowfpr.adjust import (
     save_calibration,
 )
 from lowfpr.data import DatasetError, filter_split
+from lowfpr.protocol import subsampling_study
 from lowfpr.rocmetrics import OperatingPoint, select_threshold
 from lowfpr.synth import generate, heteroscedastic_scenario, noisy_fp_scenario
 from lowfpr.uncertainty import compute_uncertainties
@@ -177,6 +178,12 @@ class TestBrentMinimize:
         with pytest.raises(ValueError):
             brent_minimize(lambda x: x, (0.0, 1.0), max_iters=0)
 
+    def test_nan_tol_rejected_before_any_evaluation(self):
+        calls = []
+        with pytest.raises(ValueError, match=r"^tol must be positive, got nan$"):
+            brent_minimize(lambda x: calls.append(x) or x, (0.0, 1.0), tol=math.nan)
+        assert calls == []
+
 
 @pytest.fixture(scope="module")
 def hetero_val():
@@ -223,6 +230,17 @@ class TestFitSeed:
         path = tmp_path / "cal.json"
         save_calibration(result, path)  # json cannot write a numpy integer
         assert load_calibration(path) == result
+
+    @pytest.mark.parametrize("variant", [Variant.GLOBAL_ONLY, Variant.LV1, Variant.LV2])
+    def test_seed_below_2_pow_128_for_every_variant(self, hetero_val, variant):
+        val, _ = hetero_val
+        with pytest.raises(ValueError) as exc:
+            fit_local(val, 1e-2, variant, seed=2**128, max_sweeps=0)
+        assert str(exc.value) == f"seed must be below 2**128, got {2**128}"
+
+    def test_largest_seed_accepted(self, hetero_val):
+        val, _ = hetero_val
+        assert fit_local(val, 1e-2, Variant.LV2, seed=2**128 - 1, max_sweeps=1).seed == 2**128 - 1
 
 
 class TestFitLocal:
@@ -328,6 +346,76 @@ class TestFitLocal:
             fit_local(empty, 1e-2, Variant.LV1)
 
 
+def _calibration_with(val, key, value):
+    return CalibrationResult.from_dict(dict(fit_global(val, 1e-2).to_dict(), **{key: value}))
+
+
+# Every integer argument and calibration key: (call with the value, name in the message, minimum, message prefix).
+INTEGER_INPUTS = {
+    "fit_local-seed": (lambda val, test, v: fit_local(val, 1e-2, Variant.LV1, seed=v, max_sweeps=0), "seed", 0, ""),
+    "fit_local-max_sweeps": (lambda val, test, v: fit_local(val, 1e-2, Variant.LV1, max_sweeps=v), "max_sweeps", 0, ""),
+    "fit_global-seed": (lambda val, test, v: fit_global(val, 1e-2, seed=v), "seed", 0, ""),
+    "study-seeds": (lambda val, test, v: subsampling_study(val, test, [0.5], [1e-2], seeds=[v]), "seed", 0, ""),
+    "study-threads": (lambda val, test, v: subsampling_study(val, test, [0.5], [1e-2], [0], threads=v), "threads", 1, ""),
+    "brent-max_iters": (lambda val, test, v: brent_minimize(lambda x: x * x, (-1.0, 1.0), max_iters=v), "max_iters", 1, ""),
+    "calibration-sweeps_used": (
+        lambda val, test, v: _calibration_with(val, "sweeps_used", v), "sweeps_used", 0, "calibration key 'sweeps_used': "
+    ),
+    "calibration-seed": (lambda val, test, v: _calibration_with(val, "seed", v), "seed", 0, "calibration key 'seed': "),
+    "calibration-member_count": (
+        lambda val, test, v: _calibration_with(val, "member_count", v), "member_count", 1, "calibration key 'member_count': "
+    ),
+}
+
+
+class TestIntegerRule:
+    """Every integer the package reads follows data._integer: a Python or numpy integer, not a bool, at its minimum."""
+
+    @pytest.mark.parametrize("value", [True, 2.0, "2", None], ids=["bool", "float", "string", "below-minimum"])
+    @pytest.mark.parametrize("case", INTEGER_INPUTS, ids=list(INTEGER_INPUTS))
+    def test_rejected_with_one_message(self, hetero_val, case, value):
+        call, name, minimum, prefix = INTEGER_INPUTS[case]
+        if value is None:
+            value = minimum - 1
+            bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
+            message = f"{name} must be {bound}, got {value!r}"
+        else:
+            message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError) as exc:
+            call(*hetero_val, value)
+        assert str(exc.value) == prefix + message
+
+    @pytest.mark.parametrize("case", INTEGER_INPUTS, ids=list(INTEGER_INPUTS))
+    def test_numpy_integer_accepted(self, hetero_val, case):
+        call, _, minimum, _ = INTEGER_INPUTS[case]
+        call(*hetero_val, np.int64(max(minimum, 1)))
+
+
+class TestCheckOrder:
+    """A bad argument is rejected before the uncertainty decomposition runs."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda val, cal: fit_local(val, 1e-2, Variant.LV1, max_sweeps=-1), "max_sweeps must be nonnegative, got -1"),
+            (lambda val, cal: fit_local(val, 1e-2, Variant.LV1, sweep_tol=math.nan), "sweep_tol must not be NaN, got nan"),
+            (lambda val, cal: evaluate_calibration(val, cal, target_fpr=2.0), "target_fpr must be in (0, 1), got 2.0"),
+        ],
+        ids=["max-sweeps", "sweep-tol", "eval-target"],
+    )
+    def test_rejected_before_decomposition(self, hetero_val, monkeypatch, call, message):
+        val, _ = hetero_val
+        calibration = fit_global(val, 1e-2)
+
+        def decomposition(ds):
+            raise AssertionError("the decomposition ran before the argument check")
+
+        monkeypatch.setattr("lowfpr.adjust.compute_uncertainties", decomposition)
+        with pytest.raises(ValueError) as exc:
+            call(val, calibration)
+        assert str(exc.value) == message
+
+
 class TestEvaluateCalibration:
     def test_global_matches_direct_evaluation(self, hetero_val):
         # Every variant, against a reference that rescores the whole split and evaluates it in one call.
@@ -424,12 +512,12 @@ class TestCalibrationSerialization:
             (lambda d: dict(d, alpha=0.5), "'alpha': must be a list of numbers, got 0.5"),
             (lambda d: dict(d, variant="lv9"), "'variant'"),
             (lambda d: dict(d, seed=[1]), "'seed'"),
-            (lambda d: dict(d, member_count=5.9), "'member_count': must be an integer >= 1, got 5.9"),
-            (lambda d: dict(d, member_count=0), "'member_count': must be an integer >= 1, got 0"),
-            (lambda d: dict(d, sweeps_used=True), "'sweeps_used': must be an integer >= 0, got True"),
-            (lambda d: dict(d, sweeps_used=-1), "'sweeps_used': must be an integer >= 0, got -1"),
-            (lambda d: dict(d, seed=-3), "'seed': must be an integer >= 0, got -3"),
-            (lambda d: dict(d, seed=7.0), "'seed': must be an integer >= 0, got 7.0"),
+            (lambda d: dict(d, member_count=5.9), "'member_count': member_count must be an integer, got 5.9"),
+            (lambda d: dict(d, member_count=0), "'member_count': member_count must be at least 1, got 0"),
+            (lambda d: dict(d, sweeps_used=True), "'sweeps_used': sweeps_used must be an integer, got True"),
+            (lambda d: dict(d, sweeps_used=-1), "'sweeps_used': sweeps_used must be nonnegative, got -1"),
+            (lambda d: dict(d, seed=-3), "'seed': seed must be nonnegative, got -3"),
+            (lambda d: dict(d, seed=7.0), "'seed': seed must be an integer, got 7.0"),
             (lambda d: dict(d, threshold=math.nan), "'threshold' is NaN"),
             (lambda d: dict(d, threshold=False), "'threshold': must be a number, got False"),
             (lambda d: dict(d, threshold=10**400), "'threshold': int too large to convert to float"),
