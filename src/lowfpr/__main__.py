@@ -1,8 +1,12 @@
 """Process entry of `python -m lowfpr` and of the `lowfpr` script (pyproject.toml)."""
 
 import gc
+import os
 
-from . import cli
+# Before numpy loads: lowfpr calls no BLAS routine, and OpenBLAS's worker pool would only spin beside the main thread.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import cli  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -30,8 +30,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import DatasetError, PredictionDataset, _integer, _is_number, _read_json
-from .rocmetrics import OperatingPoint, _budget_count, _check_target_fpr, _rates, _select, combined_metric
+from .data import DatasetError, PredictionDataset, _integer, _read_json, _real
+from .rocmetrics import _TARGET_FPR, OperatingPoint, _budget_count, _class_masks, _rates, _select, combined_metric
 from .rocmetrics import select_threshold  # noqa: F401  (kept as adjust.select_threshold: perfbench's tracer test wraps it)
 from .uncertainty import compute_uncertainties
 
@@ -63,14 +63,11 @@ class AdjustmentParams:
     def __post_init__(self) -> None:
         variant = Variant(self.variant)
         object.__setattr__(self, "variant", variant)
-        alpha = tuple(float(x) for x in self.alpha)
-        object.__setattr__(self, "alpha", alpha)
-        brackets = COORDINATE_BRACKETS[variant]
+        alpha, brackets = list(self.alpha), COORDINATE_BRACKETS[variant]
         if len(alpha) != len(brackets):
             raise ValueError(f"variant {variant.value} takes {len(brackets)} coefficients, got {len(alpha)}")
-        for k, (x, (lo, hi)) in enumerate(zip(alpha, brackets)):
-            if not (lo <= x <= hi):
-                raise ValueError(f"alpha[{k}]={x!r} outside bracket [{lo}, {hi}] for variant {variant.value}")
+        alpha = tuple(_real(f"{variant.value} alpha[{k}]", x, *b) for k, (x, b) in enumerate(zip(alpha, brackets)))
+        object.__setattr__(self, "alpha", alpha)
 
 
 def _apply(variant: Variant, y: np.ndarray, e: np.ndarray, a: np.ndarray, alpha) -> np.ndarray:
@@ -104,11 +101,10 @@ def brent_minimize(
     A non-finite objective value aborts with ArithmeticError carrying the x
     that produced it.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = (_real(f"bracket[{k}]", bracket[k], ends="()") for k in (0, 1))
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got ({lo!r}, {hi!r})")
-    if not tol > 0.0:  # NaN too
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    tol = _real("tol", tol, 0.0, math.inf, "()")
     max_iters = _integer("max_iters", max_iters, minimum=1)
 
     def f(point: float) -> float:
@@ -206,41 +202,33 @@ class CalibrationResult:
         if not isinstance(d, dict):
             raise DatasetError(f"calibration must be a JSON object, got {type(d).__name__}")
 
-        def number(value) -> float:
-            if not _is_number(value):
-                raise ValueError(f"must be a number, got {value!r}")
-            return float(value)
-
-        def numbers(value) -> tuple[float, ...]:
-            if not isinstance(value, list):
-                raise ValueError(f"must be a list of numbers, got {value!r}")
-            return tuple(map(number, value))
-
-        def field(key: str, convert: Callable = number):
+        def field(key: str, convert: Callable, *bounds):  # convert(key, value, *bounds); ValueError -> DatasetError
             if key not in d:
                 raise DatasetError(f"calibration is missing key {key!r}")
             try:
-                value = convert(d[key])
-            except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
+                return convert(key, d[key], *bounds)
+            except ValueError as exc:
                 raise DatasetError(f"calibration key {key!r}: {exc}") from None
-            if isinstance(value, float) and math.isnan(value):
-                raise DatasetError(f"calibration key {key!r} is NaN")
-            return value
 
-        variant = field("variant", Variant)
-        threshold = field("threshold", lambda value: math.inf if value == "inf" else number(value))
-        multiplier = field("multiplier")
-        if multiplier <= 0.0:
-            raise DatasetError(f"calibration key 'multiplier' must be positive, got {multiplier!r}")
+        def alpha(key: str, value) -> AdjustmentParams:
+            if not isinstance(value, list):
+                raise ValueError(f"must be a list of numbers, got {value!r}")
+            return AdjustmentParams(variant, value)
+
+        variant = field("variant", lambda key, value: Variant(value))
+        # "inf", which to_dict writes for a threshold that flags nothing, is the one non-finite threshold.
+        threshold = field("threshold", lambda key, v: math.inf if v == "inf" else _real(key, v, ends="()"))
         return cls(
-            params=field("alpha", lambda alpha: AdjustmentParams(variant, numbers(alpha))),
+            params=field("alpha", alpha),
             global_threshold=threshold,
-            target_fpr=field("target_fpr", lambda value: _check_target_fpr(number(value))),
-            fit_fpr_multiplier=multiplier,
-            achieved_val=OperatingPoint(threshold, field("validation_tpr"), field("validation_fpr")),
-            sweeps_used=field("sweeps_used", lambda value: _integer("sweeps_used", value)),
-            seed=field("seed", lambda value: _integer("seed", value)),
-            member_count=field("member_count", lambda value: _integer("member_count", value, minimum=1)),
+            target_fpr=field("target_fpr", _real, *_TARGET_FPR),
+            fit_fpr_multiplier=field("multiplier", _real, 0.0, math.inf, "()"),
+            achieved_val=OperatingPoint(
+                threshold, field("validation_tpr", _real, 0.0, 1.0), field("validation_fpr", _real, 0.0, 1.0)
+            ),
+            sweeps_used=field("sweeps_used", _integer),
+            seed=field("seed", _integer),
+            member_count=field("member_count", _integer, 1),
         )
 
 
@@ -261,11 +249,9 @@ def load_calibration(path: str | Path) -> CalibrationResult:
 
 def _classes(ds: PredictionDataset, needs: str) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(yhat, epistemic, aleatoric) of the malicious rows, then of the benign rows; ValueError(needs) unless both occur."""
-    is_pos = ds.labels == 1
-    if is_pos.all() or not is_pos.any():  # an empty split too
-        raise ValueError(needs)
+    masks = _class_masks(ds.labels, needs)
     table = compute_uncertainties(ds)
-    return [(table.yhat[m], table.epistemic[m], table.aleatoric[m]) for m in (is_pos, ~is_pos)]
+    return [(table.yhat[m], table.epistemic[m], table.aleatoric[m]) for m in masks]
 
 
 class CalibrationEvaluation(NamedTuple):
@@ -302,15 +288,14 @@ def fit_local(
     less than sweep_tol.
     """
     variant = Variant(variant)
-    _check_target_fpr(target_fpr)
+    target_fpr = _real("target_fpr", target_fpr, *_TARGET_FPR)
     seed = _integer("seed", seed)
     if seed >= _SEED_LIMIT:
         raise ValueError(f"seed must be below 2**128, got {seed!r}")
-    if not (0.0 < multiplier and multiplier * target_fpr < 1.0):
-        raise ValueError(f"multiplier {multiplier!r} puts the fit budget outside (0, 1)")
+    multiplier = _real("multiplier", multiplier, 0.0, math.inf, "()")
+    _real("fit budget multiplier * target_fpr", multiplier * target_fpr, *_TARGET_FPR)
     max_sweeps = _integer("max_sweeps", max_sweeps)
-    if math.isnan(sweep_tol):
-        raise ValueError(f"sweep_tol must not be NaN, got {sweep_tol!r}")
+    sweep_tol = _real("sweep_tol", sweep_tol)
     classes = _classes(val, "fitting needs at least one positive and one negative validation sample")
     k = _budget_count(classes[1][0].size, multiplier * target_fpr)
     brackets = COORDINATE_BRACKETS[variant]
@@ -363,7 +348,7 @@ def evaluate_calibration(
             f"member count mismatch: calibration was fit on {result.member_count} members, "
             f"test data has {test.member_count}"
         )
-    target = result.target_fpr if target_fpr is None else _check_target_fpr(target_fpr)
+    target = result.target_fpr if target_fpr is None else _real("target_fpr", target_fpr, *_TARGET_FPR)
     classes = _classes(test, "evaluation needs at least one positive and one negative test sample")
     pos, neg = (_apply(result.params.variant, y, e, a, result.params.alpha) for y, e, a in classes)
     op = _rates(pos, neg, result.global_threshold)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PredictionDataset, _field_columns, _write_csv
+from .data import PredictionDataset, _field_columns, _real, _write_csv
 from .rocmetrics import accuracy, auc, partial_auc, roc_curve
 from .uncertainty import _ensemble_scores, compute_uncertainties
 
@@ -88,8 +88,7 @@ def uncertainty_by_correctness(ds: PredictionDataset, threshold: float, measure:
 
     An empty group is not an error (check has_empty_group); a NaN threshold raises.
     """
-    if math.isnan(threshold):
-        raise ValueError(f"threshold must not be NaN, got {threshold!r}")
+    threshold = _real("threshold", threshold)
     table = compute_uncertainties(ds)
     values = table.measure(measure)
     predicted = (table.yhat >= threshold).astype(np.int64)

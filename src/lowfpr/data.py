@@ -50,6 +50,9 @@ at a time into text column by column. A block's text fields get csv quoting
 only when the block's joined text holds a character that needs it; JSON text
 goes through json's own ``encode_basestring_ascii``, the escaping
 ``json.dumps`` applies.
+
+Every other number the package reads, from Python or JSON, follows one of two rules, ``_integer``
+for integers and ``_real`` for floats; each raises one ValueError naming the field.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
@@ -373,9 +377,29 @@ def _jsonl_rows(path: Path) -> PredictionDataset:
         return _from_records(path, records(fh), "scores[{}]", None)
 
 
-def _is_number(value, kinds=(int, float)) -> bool:
-    """A JSON value of one of ``kinds``, numbers by default; JSON's true and false are neither."""
+def _is_number(value, kinds) -> bool:
+    """A value of one of ``kinds`` that is not a bool: JSON's true and false are no numbers."""
     return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf, ends: str = "[]") -> float:
+    """The package's one real-number rule, for every float it reads from Python or from JSON.
+
+    ``value`` as a float when it is a Python or numpy real, not a bool, from ``lo`` to ``hi``, each end closed
+    or open as ``ends`` spells it ("[]", "(]", "()", ...); NaN lies in no interval, and an integer too large
+    for a float counts as infinite. Anything else raises ValueError naming ``name``.
+    """
+    if not _is_number(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
+    if not ((lo < x or x == lo and ends[0] == "[") and (x < hi or x == hi and ends[1] == "]")):
+        span = f"{ends[0]}{lo:g}, {hi:g}{ends[1]}"
+        rule = {"[-inf, inf]": "not be NaN", "(-inf, inf)": "be finite"}.get(span, f"be in {span}")
+        raise ValueError(f"{name} must {rule}, got {x!r}")
+    return x
 
 
 def _integer(name: str, value, minimum: int = 0) -> int:

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PredictionDataset, _field_columns, _integer, _write_csv
-from .rocmetrics import OperatingPoint, _budget_count, _check_target_fpr, _rates, _select
+from .data import PredictionDataset, _field_columns, _integer, _real, _write_csv
+from .rocmetrics import _TARGET_FPR, OperatingPoint, _budget_count, _class_masks, _rates, _select
 from .uncertainty import _ensemble_scores
 
 
@@ -59,15 +59,12 @@ class StudyRow:
 
 def _class_scores(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split scores into (malicious, benign); both classes must be present."""
-    malicious = labels == 1
-    pos, neg = scores[malicious], scores[~malicious]
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("protocol evaluation needs both classes present")
-    return pos, neg
+    malicious, benign = _class_masks(labels, "protocol evaluation needs both classes present")
+    return scores[malicious], scores[benign]
 
 
 def _check_targets(target_fprs) -> list[float]:
-    targets = [_check_target_fpr(float(t)) for t in target_fprs]
+    targets = [_real("target_fpr", t, *_TARGET_FPR) for t in target_fprs]
     if not targets:
         raise ValueError("target_fprs is empty")
     return targets
@@ -139,12 +136,9 @@ def subsampling_study(
     Cells are independent and run on a pool of ``threads`` workers; results
     are ordered by (fraction, seed, target) and do not depend on the thread count.
     """
-    fractions = [float(f) for f in fractions]
+    fractions = [_real("fraction", f, 0.0, 1.0, "(]") for f in fractions]
     if not fractions:
         raise ValueError("fractions is empty")
-    for f in fractions:
-        if not (0.0 < f <= 1.0):
-            raise ValueError(f"fraction must be in (0, 1], got {f!r}")
     targets = _check_targets(target_fprs)
     seeds = [_integer("seed", s) for s in seeds]
     if not seeds:

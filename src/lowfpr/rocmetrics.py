@@ -14,7 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _bad_labels
+from .data import _bad_labels, _real
+
+# The bounds of every FPR budget, for data._real: the open interval (0, 1).
+_TARGET_FPR = (0.0, 1.0, "()")
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,7 @@ def partial_auc(curve: RocCurve, fpr_max: float) -> float:
     The curve is linearly interpolated at fpr_max, so the result is in
     [0, fpr_max] and partial_auc(curve, 1.0) == auc(curve).
     """
-    if not (0.0 < fpr_max <= 1.0):
-        raise ValueError(f"fpr_max must be in (0, 1], got {fpr_max!r}")
+    fpr_max = _real("fpr_max", fpr_max, 0.0, 1.0, "(]")
     f, t = curve.fprs, curve.tprs
     k = int(np.searchsorted(f, fpr_max, side="right"))
     ff, tt = f[:k], t[:k]
@@ -98,13 +100,6 @@ def partial_auc(curve: RocCurve, fpr_max: float) -> float:
         ff = np.concatenate((ff, [fpr_max]))
         tt = np.concatenate((tt, [ti]))
     return float(np.trapezoid(tt, ff))
-
-
-def _check_target_fpr(target_fpr: float) -> float:
-    """The one range check on an FPR budget: it must lie in (0, 1), which also rejects NaN."""
-    if not (0.0 < target_fpr < 1.0):
-        raise ValueError(f"target_fpr must be in (0, 1), got {target_fpr!r}")
-    return target_fpr
 
 
 def _budget_count(n_neg: int, target_fpr: float) -> int:
@@ -118,6 +113,14 @@ def _budget_count(n_neg: int, target_fpr: float) -> int:
     while k > 0 and k / n_neg > target_fpr:
         k -= 1
     return k
+
+
+def _class_masks(labels: np.ndarray, needs: str) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the malicious and of the benign entries of 0/1 ``labels``; ValueError(needs) unless both occur."""
+    malicious = labels == 1
+    if malicious.all() or not malicious.any():  # an empty array too
+        raise ValueError(needs)
+    return malicious, ~malicious
 
 
 def _select(pos: np.ndarray, neg: np.ndarray, k: int) -> OperatingPoint:
@@ -143,7 +146,7 @@ def select_threshold(scores, labels, target_fpr: float) -> OperatingPoint:
     the larger (more conservative) threshold. When no candidate with positive
     TPR fits the budget the +inf sentinel (TPR 0, FPR 0) is returned.
     """
-    _check_target_fpr(target_fpr)
+    target_fpr = _real("target_fpr", target_fpr, *_TARGET_FPR)
     s, y = _score_label_arrays(scores, labels)
     neg = s[y == 0]
     if neg.size == 0:
@@ -156,6 +159,7 @@ def evaluate_at_threshold(scores, labels, threshold: float) -> OperatingPoint:
 
     A class with no samples contributes a rate of 0.0.
     """
+    threshold = _real("threshold", threshold)
     s, y = _score_label_arrays(scores, labels)
     malicious = y == 1
     return _rates(s[malicious], s[~malicious], threshold)
@@ -166,14 +170,16 @@ def combined_metric(tpr: float, actualized_fpr: float, target_fpr: float) -> flo
 
     C = TPR - max(actualized_fpr - target_fpr, 0) / target_fpr. Equal to TPR
     when the budget is met; decreases without bound as FPR overshoots. The
-    target must lie in (0, 1).
+    rates must lie in [0, 1] and the target in (0, 1).
     """
-    _check_target_fpr(target_fpr)
+    tpr, actualized_fpr = _real("tpr", tpr, 0.0, 1.0), _real("actualized_fpr", actualized_fpr, 0.0, 1.0)
+    target_fpr = _real("target_fpr", target_fpr, *_TARGET_FPR)
     return float(tpr - max(actualized_fpr - target_fpr, 0.0) / target_fpr)
 
 
 def accuracy(scores, labels, threshold: float) -> float:
     """Fraction of correct ``score >= threshold`` decisions."""
+    threshold = _real("threshold", threshold)
     s, y = _score_label_arrays(scores, labels)
     if s.size == 0:
         raise ValueError("accuracy of an empty sample set is undefined")

@@ -18,15 +18,13 @@ member noise, split assignment, family assignment.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
-    _ID_DTYPE, SPLIT_NAMES, DatasetError, PredictionDataset, _integer, _is_number, _read_json,
+    _ID_DTYPE, SPLIT_NAMES, DatasetError, PredictionDataset, _integer, _read_json, _real,
 )
 
 # Stream constant of the data stream. Arbitrary but frozen; changing it
@@ -37,6 +35,14 @@ _SEEN_FAMILIES = np.array([f"fam_s{k}" for k in range(8)], dtype=object)
 _NOVEL_FAMILIES = np.array([f"fam_n{k}" for k in range(4)], dtype=object)
 # Rows that _sigmoid and the id column take at a time, so that their temporaries stay this size.
 _BLOCK_ROWS = 8192
+# Each float field's bounds (split_fractions: of each entry), closed at both ends unless a third entry says
+# otherwise. The default +-1e300 keeps a mean plus an sd-scaled draw under 1.7e8 sd finite.
+_FLOAT_BOUNDS = {
+    **dict.fromkeys(("novel_fraction", "ambiguous_benign_fraction", "ambiguous_malicious_fraction"), (0.0, 1.0)),
+    "split_fractions": (0.0, 1.0),
+    "logit_sd": (0.0, 1e300, "(]"),
+    "member_noise_sd_base": (0.0, 1e300),
+}
 
 
 @dataclass(frozen=True)
@@ -66,38 +72,19 @@ class SynthConfig:
             if isinstance(default, int):
                 object.__setattr__(self, name, _integer(name, value, minimum=1 if name == "member_count" else 0))
                 continue
-            if isinstance(default, tuple):
-                sized = isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1
-                ok, kind, values = sized and len(value) == 3, "a list of three numbers", value
+            bounds = _FLOAT_BOUNDS.get(name, (-1e300, 1e300))
+            sized = isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1
+            if not isinstance(default, tuple):
+                value = _real(name, value, *bounds)
+            elif sized and len(value) == 3:
+                value = tuple(_real(f"{name}[{k}]", v, *bounds) for k, v in enumerate(value))
             else:
-                ok, kind, values = True, "a number", (value,)
-            # One number rule from Python and JSON alike: a Python or numpy real, not a bool or a string.
-            if not (ok and all(_is_number(v, numbers.Real) for v in values)):
-                raise ValueError(f"{name} must be {kind}, got {value!r}")
-            try:
-                floats = tuple(map(float, values))
-            except OverflowError:
-                raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
-            for v in floats:
-                if not math.isfinite(v):
-                    raise ValueError(f"{name} must be finite, got {v!r}")
-                if abs(v) > 1e300:  # within it, a mean plus an sd-scaled draw under 1.7e8 sd stays finite
-                    raise ValueError(f"{name} must lie within +-1e300, got {v!r}")
-            object.__setattr__(self, name, floats if isinstance(default, tuple) else floats[0])
-        for name in ("novel_fraction", "ambiguous_benign_fraction", "ambiguous_malicious_fraction"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+                raise ValueError(f"{name} must be a list of three numbers, got {value!r}")
+            object.__setattr__(self, name, value)
         if self.novel_fraction + self.ambiguous_malicious_fraction > 1.0:
             raise ValueError("novel_fraction + ambiguous_malicious_fraction must not exceed 1")
-        if self.logit_sd <= 0.0:
-            raise ValueError("logit_sd must be positive")
-        if self.member_noise_sd_base < 0.0:
-            raise ValueError("member_noise_sd_base must be nonnegative")
         if self.member_noise_sd_novel < self.member_noise_sd_base:
             raise ValueError("member_noise_sd_novel must be at least member_noise_sd_base")
-        if any(f < 0.0 for f in self.split_fractions):
-            raise ValueError("split_fractions must be three nonnegative numbers")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ValueError(f"split_fractions must sum to 1, got {sum(self.split_fractions)!r}")
 

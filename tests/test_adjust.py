@@ -19,10 +19,19 @@ from lowfpr.adjust import (
     load_calibration,
     save_calibration,
 )
+from lowfpr.analysis import uncertainty_by_correctness
 from lowfpr.data import DatasetError, filter_split
-from lowfpr.protocol import subsampling_study
-from lowfpr.rocmetrics import OperatingPoint, select_threshold
-from lowfpr.synth import generate, heteroscedastic_scenario, noisy_fp_scenario
+from lowfpr.protocol import relative_error_curve, subsampling_study
+from lowfpr.rocmetrics import (
+    OperatingPoint,
+    accuracy,
+    combined_metric,
+    evaluate_at_threshold,
+    partial_auc,
+    roc_curve,
+    select_threshold,
+)
+from lowfpr.synth import SynthConfig, generate, heteroscedastic_scenario, noisy_fp_scenario
 from lowfpr.uncertainty import compute_uncertainties
 
 
@@ -103,12 +112,14 @@ class TestAdjustmentParams:
             AdjustmentParams(Variant.GLOBAL_ONLY, (1.0,))
 
     def test_bracket_enforced(self):
-        with pytest.raises(ValueError, match="outside bracket"):
-            AdjustmentParams(Variant.LV1, (150.0, 0.0))
-        with pytest.raises(ValueError, match="outside bracket"):
-            AdjustmentParams(Variant.LV3, (0.5, 0.1, 0.1, 0.1, 0.1))
-        with pytest.raises(ValueError, match="outside bracket"):
-            AdjustmentParams(Variant.LV3, (0.0, -0.2, 0.1, 0.1, 0.1))
+        for alpha, message in [
+            ((150.0, 0.0), "lv1 alpha[0] must be in [-100, 100], got 150.0"),
+            ((0.5, 0.1, 0.1, 0.1, 0.1), "lv3 alpha[0] must be in [-0.1, 0.1], got 0.5"),
+            ((0.0, -0.2, 0.1, 0.1, 0.1), "lv3 alpha[1] must be in [0, 1], got -0.2"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                AdjustmentParams(Variant.LV1 if len(alpha) == 2 else Variant.LV3, alpha)
+            assert str(exc.value) == message
 
     def test_string_variant_coerced(self):
         p = AdjustmentParams("lv1", (1.0, -1.0))
@@ -180,7 +191,7 @@ class TestBrentMinimize:
 
     def test_nan_tol_rejected_before_any_evaluation(self):
         calls = []
-        with pytest.raises(ValueError, match=r"^tol must be positive, got nan$"):
+        with pytest.raises(ValueError, match=r"^tol must be in \(0, inf\), got nan$"):
             brent_minimize(lambda x: calls.append(x) or x, (0.0, 1.0), tol=math.nan)
         assert calls == []
 
@@ -346,8 +357,8 @@ class TestFitLocal:
             fit_local(empty, 1e-2, Variant.LV1)
 
 
-def _calibration_with(val, key, value):
-    return CalibrationResult.from_dict(dict(fit_global(val, 1e-2).to_dict(), **{key: value}))
+def _calibration_with(val, key, value, **more):
+    return CalibrationResult.from_dict(dict(fit_global(val, 1e-2).to_dict(), **{key: value}, **more))
 
 
 # Every integer argument and calibration key: (call with the value, name in the message, minimum, message prefix).
@@ -391,6 +402,122 @@ class TestIntegerRule:
         call(*hetero_val, np.int64(max(minimum, 1)))
 
 
+def _fractions_with(first):
+    """Split fractions that start with ``first`` and sum to 1 whenever it is a number in [0, 1]."""
+    try:
+        return (first, 1.0 - float(first), 0.0)
+    except (TypeError, ValueError):
+        return (first, 1.0, 0.0)
+
+
+def _calibration_key(key: str, **more):
+    """A REAL_INPUTS entry for a calibration key, whose message names the key twice."""
+    return lambda val, test, v: _calibration_with(val, key, v, **more), key, f"calibration key {key!r}: "
+
+
+# Every float argument and calibration key: (call with the value, name in the message, message prefix).
+# Each takes 0.5; all but the FPR targets, which lie in (0, 1), also take 1.
+REAL_INPUTS = {
+    "select_threshold-target_fpr": (lambda val, test, v: select_threshold([0.2, 0.8], [0, 1], v), "target_fpr", ""),
+    "combined_metric-target_fpr": (lambda val, test, v: combined_metric(0.5, 0.01, v), "target_fpr", ""),
+    "combined_metric-tpr": (lambda val, test, v: combined_metric(v, 0.01, 0.01), "tpr", ""),
+    "combined_metric-actualized_fpr": (lambda val, test, v: combined_metric(0.5, v, 0.01), "actualized_fpr", ""),
+    "partial_auc-fpr_max": (lambda val, test, v: partial_auc(roc_curve([0.2, 0.8], [0, 1]), v), "fpr_max", ""),
+    "accuracy-threshold": (lambda val, test, v: accuracy([0.2, 0.8], [0, 1], v), "threshold", ""),
+    "evaluate_at_threshold-threshold": (
+        lambda val, test, v: evaluate_at_threshold([0.2, 0.8], [0, 1], v), "threshold", ""
+    ),
+    "brent-bracket_lo": (lambda val, test, v: brent_minimize(lambda x: x * x, (v, 2.0)), "bracket[0]", ""),
+    "brent-bracket_hi": (lambda val, test, v: brent_minimize(lambda x: x * x, (-1.0, v)), "bracket[1]", ""),
+    "brent-tol": (lambda val, test, v: brent_minimize(lambda x: x * x, (-1.0, 1.0), tol=v), "tol", ""),
+    "fit_local-target_fpr": (lambda val, test, v: fit_local(val, v, Variant.GLOBAL_ONLY), "target_fpr", ""),
+    "fit_local-multiplier": (
+        lambda val, test, v: fit_local(val, 1e-2, Variant.GLOBAL_ONLY, multiplier=v), "multiplier", ""
+    ),
+    "fit_local-sweep_tol": (
+        lambda val, test, v: fit_local(val, 1e-2, Variant.LV1, sweep_tol=v, max_sweeps=1), "sweep_tol", ""
+    ),
+    "fit_global-multiplier": (lambda val, test, v: fit_global(val, 1e-2, multiplier=v), "multiplier", ""),
+    "evaluate_calibration-target_fpr": (
+        lambda val, test, v: evaluate_calibration(test, fit_global(val, 1e-2), v), "target_fpr", ""
+    ),
+    "AdjustmentParams-alpha": (lambda val, test, v: AdjustmentParams(Variant.LV1, (v, 0.0)), "lv1 alpha[0]", ""),
+    "errors-threshold": (lambda val, test, v: uncertainty_by_correctness(test, v), "threshold", ""),
+    "protocol-target_fpr": (lambda val, test, v: relative_error_curve(val, test, [v]), "target_fpr", ""),
+    "study-target_fpr": (lambda val, test, v: subsampling_study(val, test, [0.5], [v], [0]), "target_fpr", ""),
+    "study-fraction": (lambda val, test, v: subsampling_study(val, test, [v], [1e-2], [0]), "fraction", ""),
+    "synth-logit_sd": (lambda val, test, v: SynthConfig(logit_sd=v), "logit_sd", ""),
+    "synth-benign_logit_mean": (lambda val, test, v: SynthConfig(benign_logit_mean=v), "benign_logit_mean", ""),
+    "synth-novel_fraction": (lambda val, test, v: SynthConfig(novel_fraction=v), "novel_fraction", ""),
+    "synth-split_fractions": (
+        lambda val, test, v: SynthConfig(split_fractions=_fractions_with(v)), "split_fractions[0]", ""
+    ),
+    "calibration-threshold": _calibration_key("threshold"),
+    "calibration-target_fpr": _calibration_key("target_fpr"),
+    "calibration-multiplier": _calibration_key("multiplier"),
+    "calibration-validation_tpr": _calibration_key("validation_tpr"),
+    "calibration-validation_fpr": _calibration_key("validation_fpr"),
+    "calibration-alpha": (
+        lambda val, test, v: _calibration_with(val, "alpha", [v, 0.0], variant="lv1"),
+        "lv1 alpha[0]",
+        "calibration key 'alpha': ",
+    ),
+}
+TARGETS = {name for name, (_, field, _) in REAL_INPUTS.items() if field == "target_fpr"}
+
+
+class TestRealRule:
+    """Every float the package reads follows data._real: a Python or numpy real, not a bool or NaN, in its bounds."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, np.True_, "0.5", None, math.nan, 1 + 0j],
+        ids=["bool", "numpy-bool", "string", "none", "nan", "complex"],
+    )
+    @pytest.mark.parametrize("case", REAL_INPUTS, ids=list(REAL_INPUTS))
+    def test_rejected_naming_the_field(self, hetero_val, case, value):
+        call, name, prefix = REAL_INPUTS[case]
+        if value is None and case == "evaluate_calibration-target_fpr":
+            call(*hetero_val, value)  # None overrides nothing: the calibration's own target applies
+            return
+        with pytest.raises(ValueError) as exc:
+            call(*hetero_val, value)
+        message = str(exc.value)
+        if isinstance(value, float):
+            assert message.startswith(f"{prefix}{name} must ") and message.endswith(", got nan")
+        else:
+            assert message == f"{prefix}{name} must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("value", [1, np.float32(0.5), np.float64(0.5)], ids=["int", "float32", "float64"])
+    @pytest.mark.parametrize("case", REAL_INPUTS, ids=list(REAL_INPUTS))
+    def test_accepted_in_range(self, hetero_val, case, value):
+        call, _, prefix = REAL_INPUTS[case]
+        if value == 1 and case in TARGETS:
+            with pytest.raises(ValueError) as exc:
+                call(*hetero_val, value)
+            assert str(exc.value) == f"{prefix}target_fpr must be in (0, 1), got 1.0"
+        else:
+            call(*hetero_val, value)
+
+    def test_numpy_multiplier_round_trips(self, hetero_val, tmp_path):
+        val, _ = hetero_val
+        result = fit_local(val, 1e-2, Variant.LV1, multiplier=np.float64(0.9), max_sweeps=1)
+        assert type(result.fit_fpr_multiplier) is float and result.fit_fpr_multiplier == 0.9
+        save_calibration(result, tmp_path / "cal.json")
+        assert load_calibration(tmp_path / "cal.json") == result
+
+    def test_integer_too_large_for_a_float_counts_as_infinite(self):
+        assert accuracy([0.2, 0.8], [0, 1], 10**400) == 0.5
+        with pytest.raises(ValueError, match=r"^fpr_max must be in \(0, 1\], got -inf$"):
+            partial_auc(roc_curve([0.2, 0.8], [0, 1]), -(10**400))
+
+    def test_fit_budget_beyond_one_rejected(self, hetero_val):
+        val, _ = hetero_val
+        with pytest.raises(ValueError) as exc:
+            fit_local(val, 0.5, Variant.GLOBAL_ONLY, multiplier=2.5)
+        assert str(exc.value) == "fit budget multiplier * target_fpr must be in (0, 1), got 1.25"
+
+
 class TestCheckOrder:
     """A bad argument is rejected before the uncertainty decomposition runs."""
 
@@ -400,8 +527,9 @@ class TestCheckOrder:
             (lambda val, cal: fit_local(val, 1e-2, Variant.LV1, max_sweeps=-1), "max_sweeps must be nonnegative, got -1"),
             (lambda val, cal: fit_local(val, 1e-2, Variant.LV1, sweep_tol=math.nan), "sweep_tol must not be NaN, got nan"),
             (lambda val, cal: evaluate_calibration(val, cal, target_fpr=2.0), "target_fpr must be in (0, 1), got 2.0"),
+            (lambda val, cal: fit_local(val, 1e-2, Variant.LV1, multiplier=True), "multiplier must be a number, got True"),
         ],
-        ids=["max-sweeps", "sweep-tol", "eval-target"],
+        ids=["max-sweeps", "sweep-tol", "eval-target", "multiplier-bool"],
     )
     def test_rejected_before_decomposition(self, hetero_val, monkeypatch, call, message):
         val, _ = hetero_val
@@ -518,14 +646,14 @@ class TestCalibrationSerialization:
             (lambda d: dict(d, sweeps_used=-1), "'sweeps_used': sweeps_used must be nonnegative, got -1"),
             (lambda d: dict(d, seed=-3), "'seed': seed must be nonnegative, got -3"),
             (lambda d: dict(d, seed=7.0), "'seed': seed must be an integer, got 7.0"),
-            (lambda d: dict(d, threshold=math.nan), "'threshold' is NaN"),
-            (lambda d: dict(d, threshold=False), "'threshold': must be a number, got False"),
-            (lambda d: dict(d, threshold=10**400), "'threshold': int too large to convert to float"),
-            (lambda d: dict(d, multiplier=True), "'multiplier': must be a number, got True"),
-            (lambda d: dict(d, target_fpr="0.01"), "'target_fpr': must be a number, got '0.01'"),
-            (lambda d: dict(d, validation_tpr=True), "'validation_tpr': must be a number, got True"),
-            (lambda d: dict(d, validation_fpr="0"), "'validation_fpr': must be a number, got '0'"),
-            (lambda d: dict(d, alpha=[0.0, False]), "'alpha': must be a number, got False"),
+            (lambda d: dict(d, threshold=math.nan), "'threshold': threshold must be finite, got nan"),
+            (lambda d: dict(d, threshold=False), "'threshold': threshold must be a number, got False"),
+            (lambda d: dict(d, threshold=10**400), "'threshold': threshold must be finite, got inf"),
+            (lambda d: dict(d, multiplier=True), "'multiplier': multiplier must be a number, got True"),
+            (lambda d: dict(d, target_fpr="0.01"), "'target_fpr': target_fpr must be a number, got '0.01'"),
+            (lambda d: dict(d, validation_tpr=True), "'validation_tpr': validation_tpr must be a number, got True"),
+            (lambda d: dict(d, validation_fpr="0"), "'validation_fpr': validation_fpr must be a number, got '0'"),
+            (lambda d: dict(d, alpha=[0.0, False]), "'alpha': lv1 alpha[1] must be a number, got False"),
         ],
         ids=["not-an-object", "missing-key", "non-numeric", "nan-threshold", "alpha-not-list", "alpha-string", "alpha-object",
              "alpha-number", "unknown-variant", "int-not-number",

@@ -176,6 +176,13 @@ class TestValidate:
         assert capsys.readouterr().err == "\naborted\n"
 
 
+def config_bound_message(key: str, shown: str) -> str:
+    """The message for a synth config float outside its bounds (+-1e300 unless synth._FLOAT_BOUNDS narrows them)."""
+    name = f"{key}[0]" if key == "split_fractions" else key
+    span = {"logit_sd": "(0, 1e+300]", "split_fractions[0]": "[0, 1]"}.get(name, "[-1e+300, 1e+300]")
+    return f"{name} must be in {span}, got {shown}"
+
+
 class TestSynth:
     def test_reruns_are_byte_identical(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -244,9 +251,10 @@ class TestSynth:
             ("logit_sd", math.inf, "inf"),
             ("member_noise_sd_novel", math.inf, "inf"),
             ("split_fractions", [math.nan, 0.5, 0.5], "nan"),
-            pytest.param("logit_sd", 10**400, "an integer too large for a float", id="logit_sd-huge-int"),
-            pytest.param("benign_logit_mean", -(10**400), "an integer too large for a float", id="benign_logit_mean-huge-int"),
-            pytest.param("split_fractions", [10**400, 0.5, 0.5], "an integer too large for a float", id="split_fractions-huge-int"),
+            # an integer too large for a float counts as infinite
+            pytest.param("logit_sd", 10**400, "inf", id="logit_sd-huge-int"),
+            pytest.param("benign_logit_mean", -(10**400), "-inf", id="benign_logit_mean-huge-int"),
+            pytest.param("split_fractions", [10**400, 0.5, 0.5], "inf", id="split_fractions-huge-int"),
         ],
     )
     def test_nonfinite_config_value_exits_3(self, tmp_path, capsys, key, value, shown):
@@ -254,7 +262,7 @@ class TestSynth:
         config_path.write_text(json.dumps(small_config(**{key: value})))  # json writes NaN and Infinity
         out = tmp_path / "x.csv"
         assert run_cli(["synth", "--config", str(config_path), "--output", str(out)]) == 3
-        assert capsys.readouterr().err == f"error: {key} must be finite, got {shown}\n"
+        assert capsys.readouterr().err == f"error: {config_bound_message(key, shown)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -272,7 +280,7 @@ class TestSynth:
         config_path.write_text(json.dumps(small_config(n_benign=5000, n_malicious=5000, **{key: value})))
         out = tmp_path / "x.csv"
         assert run_cli(["synth", "--config", str(config_path), "--output", str(out)]) == 3
-        assert capsys.readouterr().err == f"error: {key} must lie within +-1e300, got {value!r}\n"
+        assert capsys.readouterr().err == f"error: {config_bound_message(key, repr(value))}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -548,24 +556,32 @@ class TestEval:
             (lambda d: dict(d, threshold="nan"), "'threshold'"),
             (lambda d: dict(d, target_fpr=1.5), "'target_fpr': target_fpr must be in (0, 1), got 1.5"),
             (lambda d: dict(d, target_fpr=0), "'target_fpr': target_fpr must be in (0, 1), got 0.0"),
-            (lambda d: dict(d, multiplier=0), "'multiplier' must be positive, got 0.0"),
-            (lambda d: dict(d, multiplier=-0.9), "'multiplier' must be positive, got -0.9"),
+            (lambda d: dict(d, multiplier=0), "'multiplier': multiplier must be in (0, inf), got 0.0"),
+            (lambda d: dict(d, multiplier=-0.9), "'multiplier': multiplier must be in (0, inf), got -0.9"),
             (lambda d: dict(d, member_count=5.9), "'member_count': member_count must be an integer, got 5.9"),
             (lambda d: dict(d, sweeps_used=True), "'sweeps_used': sweeps_used must be an integer, got True"),
             (lambda d: dict(d, seed=-3), "'seed': seed must be nonnegative, got -3"),
-            (lambda d: dict(d, threshold=False), "'threshold': must be a number, got False"),
-            (lambda d: dict(d, multiplier=True), "'multiplier': must be a number, got True"),
-            (lambda d: dict(d, threshold="0.5"), "'threshold': must be a number, got '0.5'"),
-            (lambda d: dict(d, target_fpr="0.01"), "'target_fpr': must be a number, got '0.01'"),
+            (lambda d: dict(d, threshold=False), "'threshold': threshold must be a number, got False"),
+            (lambda d: dict(d, multiplier=True), "'multiplier': multiplier must be a number, got True"),
+            (lambda d: dict(d, threshold="0.5"), "'threshold': threshold must be a number, got '0.5'"),
+            (lambda d: dict(d, target_fpr="0.01"), "'target_fpr': target_fpr must be a number, got '0.01'"),
             (lambda d: dict(d, alpha="0.5"), "'alpha': must be a list of numbers, got '0.5'"),
             (lambda d: dict(d, alpha={"a": 1}), "'alpha': must be a list of numbers, got {'a': 1}"),
             (lambda d: dict(d, alpha=0.5), "'alpha': must be a list of numbers, got 0.5"),
             (lambda d: dict(d, alpha=None), "'alpha': must be a list of numbers, got None"),
+            # json.dumps writes these floats as Infinity, -Infinity and NaN, which Python's json reads back
+            (lambda d: dict(d, multiplier=math.inf), "'multiplier': multiplier must be in (0, inf), got inf"),
+            (lambda d: dict(d, validation_tpr=7.0), "'validation_tpr': validation_tpr must be in [0, 1], got 7.0"),
+            (lambda d: dict(d, threshold=-math.inf), "'threshold': threshold must be finite, got -inf"),
+            (lambda d: dict(d, target_fpr=math.nan), "'target_fpr': target_fpr must be in (0, 1), got nan"),
+            (lambda d: dict(d, variant="lv1", alpha=[math.nan, 0]),
+             "'alpha': lv1 alpha[0] must be in [-100, 100], got nan"),
         ],
         ids=["not-an-object", "missing-key", "non-numeric", "nan-threshold", "target-above-one", "target-zero",
              "multiplier-zero", "multiplier-negative", "member-count-fractional", "sweeps-bool", "seed-negative",
              "threshold-bool", "multiplier-bool", "threshold-string", "target-string", "alpha-string", "alpha-object",
-             "alpha-number", "alpha-null"],
+             "alpha-number", "alpha-null", "multiplier-infinity", "validation-tpr-seven", "threshold-minus-infinity",
+             "target-nan", "alpha-nan"],
     )
     def test_malformed_calibration_exits_2(self, dataset_csv, tmp_path, capsys, edit, key):
         outdir = tmp_path / "out"

@@ -3,9 +3,11 @@
 `lowfpr` loads an exported name's module on first use, `cli` imports the
 study and synth modules only inside the commands that run them, and the
 process entry in `lowfpr.__main__` freezes the import-time heap before it runs
-`cli.main`, which itself never freezes.
+`cli.main`, which itself never freezes. The process entry also caps OpenBLAS at
+one thread, which can change no output because the package calls no BLAS routine.
 """
 
+import ast
 import gc
 import hashlib
 import importlib
@@ -142,6 +144,7 @@ class TestProcessEntry:
         assert proc.stdout.splitlines()[-1] == "frozen True"
 
     def test_process_entry_freezes_then_runs_the_cli(self, monkeypatch, capsys):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)  # restored afterwards: the import may set it
         import lowfpr.__main__ as entry
 
         frozen = []
@@ -176,3 +179,49 @@ class TestProcessEntry:
         files = ["data.csv", "fit/calibration_g+lv2_0.01.json", "eval_g+lv2/evaluation.csv", "study/subsample.csv"]
         digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in files}
         assert digests == {f: EXPECTED[f] for f in files}
+
+
+# numpy names whose call would reach BLAS; the process entry's one-thread cap relies on the package making none.
+BLAS_NAMES = {"dot", "matmul", "einsum", "tensordot", "inner", "linalg"}
+
+
+def blas_uses(source: str) -> list[str]:
+    """Each ``@`` in ``source`` and each call through one of BLAS_NAMES, such as ``np.linalg.norm(x)``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.MatMult):
+            found.append("@")
+        elif isinstance(node, ast.Call):
+            names = {n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node.func)
+                     if isinstance(n, (ast.Attribute, ast.Name))}
+            found.extend(sorted(names & BLAS_NAMES))
+    return found
+
+
+class TestBlasThreads:
+    @staticmethod
+    def blas_threads_after(statement, cli_env, preset=None):
+        """OPENBLAS_NUM_THREADS after ``statement`` in a fresh interpreter that starts it unset or at ``preset``."""
+        env = {k: v for k, v in cli_env.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = f"import os\n{statement}\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        return proc.stdout.strip()
+
+    def test_process_entry_sets_one_thread(self, cli_env):
+        assert self.blas_threads_after("import lowfpr.__main__", cli_env) == "1"
+
+    def test_process_entry_keeps_a_preset_value(self, cli_env):
+        assert self.blas_threads_after("import lowfpr.__main__", cli_env, preset="3") == "3"
+
+    def test_cli_import_leaves_it_unset(self, cli_env):
+        assert self.blas_threads_after("import lowfpr.cli", cli_env) == "None"
+
+    def test_package_calls_no_blas_routine(self):
+        for path in sorted((ROOT / "src" / "lowfpr").glob("*.py")):
+            assert blas_uses(path.read_text(encoding="utf-8")) == [], path.name
+
+    def test_walk_finds_each_blas_use(self):
+        source = "c = a @ b\nc @= b\nnp.dot(a, b)\nnp.linalg.norm(a)\nx.inner(y)\neinsum('i,i', a, b)\nnp.add(a, b)"
+        assert sorted(blas_uses(source)) == ["@", "@", "dot", "einsum", "inner", "linalg"]
